@@ -23,11 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .scalar import CScalar, Scalar
-
-
-def _cs(re, im=0) -> CScalar:
-    return CScalar(Scalar.rational(Fraction(re)), Scalar.rational(Fraction(im)))
+from .scalar import CScalar, Scalar, _cs
 
 
 class AdmissibilityError(ValueError):
@@ -162,38 +158,12 @@ class CP1Function:
             total += complex(coeff) * (z**p) * (np.conj(z) ** q) / (1 + u) ** c
         return total
 
-    def sup_norm_estimate(self, grid: int = 64) -> float:
-        rs = np.linspace(0, 6, grid)
-        phis = np.linspace(0, 2 * np.pi, grid, endpoint=False)
-        best = 0.0
-        for r in rs:
-            zs = r * np.exp(1j * phis)
-            best = max(best, float(np.abs([self.evaluate(z) for z in zs]).max()))
-        return best
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(
             f"({coeff})*z^{p}*zb^{q}*(1+u)^-{c}"
             for (p, q, c), coeff in sorted(self.terms.items())
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"p": p, "q": q, "c": c, "coeff": coeff.to_json()}
-                for (p, q, c), coeff in sorted(self.terms.items())
-            ]
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "CP1Function":
-        return CP1Function(
-            {
-                (int(t["p"]), int(t["q"]), int(t["c"])): CScalar.from_json(t["coeff"])
-                for t in data["terms"]
-            }
         )
 
 
@@ -345,14 +315,6 @@ class DecayReport:
     slope: float
     k_values: tuple[int, ...]
     norms: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "sign": self.sign,
-            "slope": self.slope,
-            "k": list(self.k_values),
-            "norms": list(self.norms),
-        }
 
 
 def commutator_decay(f: CP1Function, g: CP1Function, k_values: Sequence[int]) -> DecayReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cech import CechConnectionData, CechError
 from .chartfn import ChartFunction
@@ -97,14 +97,6 @@ class TripleAssociativityReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "triples_checked": self.triples_checked,
-            "points_per_triple": self.points_per_triple,
-            "violations": [dict(v) for v in self.violations],
-        }
 
 
 class LocalLineBundle:
@@ -280,13 +272,6 @@ class LocalLineBundle:
             for (i, j, k), const in sorted(self.data.triple_constants.items())
         }
         return {"closes": all(flags.values()), "triples": flags}
-
-    def to_json(self) -> dict:
-        return {"cech": self.data.to_json()}
-
-    @staticmethod
-    def from_json(data: Mapping) -> "LocalLineBundle":
-        return LocalLineBundle.build(CechConnectionData.from_json(data["cech"]))
 
 
 def build_local_line_bundle(data: CechConnectionData) -> LocalLineBundle:

@@ -37,16 +37,6 @@ class CechReport:
     def passed(self) -> bool:
         return self.curl_ok and self.overlap_ok and self.triple_ok and self.antisymmetry_ok
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "chart_curl": self.curl_ok,
-            "overlap_gradient": self.overlap_ok,
-            "triple_constancy": self.triple_ok,
-            "antisymmetry": self.antisymmetry_ok,
-            "failures": list(self.failures),
-        }
-
 
 class CechConnectionData:
     """Per-chart 1-forms, overlap transitions, triple constants for omega."""
@@ -87,9 +77,7 @@ class CechConnectionData:
 
     def transition_in_triple_frame(self, i: int, j: int, anchor: int) -> ChartFunction:
         """phi_ij shifted into the frame anchored at chart ``anchor``."""
-        m_i = self.cover.pair_lift(anchor, i)
-        shift = {n: Fraction(-s) for n, s in zip(self.torus.names, m_i)}
-        return self.transition(i, j).shift(shift)
+        return self.transition(i, j).shift(self.cover.frame_shift(anchor, i))
 
     def triple_sum(self, i: int, j: int, k: int) -> ChartFunction:
         """phi_ij + phi_jk + phi_ki in the frame anchored at chart i."""
@@ -111,9 +99,7 @@ class CechConnectionData:
         overlap_ok = True
         antisym_ok = True
         for (i, j), phi in self.transitions.items():
-            lift = self.cover.pair_lift(i, j)
-            shift = {n: Fraction(-s) for n, s in zip(self.torus.names, lift)}
-            alpha_j_here = self.alphas[j].shift(shift)
+            alpha_j_here = self.alphas[j].shift(self.cover.frame_shift(i, j))
             dphi = DifferentialForm.from_function(self.torus, phi).exterior_d()
             if self.alphas[i] - alpha_j_here != dphi:
                 overlap_ok = False
@@ -123,8 +109,7 @@ class CechConnectionData:
                 antisym_ok = False
                 failures.append(f"missing phi_{j}{i}")
                 continue
-            back = {n: Fraction(s) for n, s in zip(self.torus.names, lift)}
-            if reverse != (-phi).shift(back):
+            if reverse != (-phi).shift(self.cover.frame_shift(j, i)):
                 antisym_ok = False
                 failures.append(f"phi_{j}{i} != -phi_{i}{j}")
         triple_ok = True
@@ -139,38 +124,6 @@ class CechConnectionData:
                 triple_ok = False
                 failures.append(f"phi_{i}{j}{k} != stored constant")
         return CechReport(curl_ok, overlap_ok, triple_ok, antisym_ok, tuple(failures))
-
-    def to_json(self) -> dict:
-        return {
-            "cover": self.cover.to_json(),
-            "omega": self.omega.to_json(),
-            "alphas": {str(i): a.to_json() for i, a in sorted(self.alphas.items())},
-            "transitions": {
-                f"{i},{j}": phi.to_json()
-                for (i, j), phi in sorted(self.transitions.items())
-            },
-            "triple_constants": {
-                f"{i},{j},{k}": c.to_json()
-                for (i, j, k), c in sorted(self.triple_constants.items())
-            },
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "CechConnectionData":
-        cover = GoodCover.from_json(data["cover"])
-        omega = DifferentialForm.from_json(data["omega"])
-        alphas = {
-            int(i): DifferentialForm.from_json(a) for i, a in data["alphas"].items()
-        }
-        transitions = {}
-        for key, phi in data["transitions"].items():
-            i, j = (int(p) for p in key.split(","))
-            transitions[(i, j)] = ChartFunction.from_json(phi)
-        consts = {}
-        for key, c in data["triple_constants"].items():
-            i, j, k = (int(p) for p in key.split(","))
-            consts[(i, j, k)] = Scalar.from_json(c)
-        return CechConnectionData(cover, omega, alphas, transitions, consts)
 
 
 def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:
@@ -217,8 +170,7 @@ def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:
         const = -(a_j[0] + n[0]) * Fraction(n[1])
         phi = (y.scale(delta_x) + ChartFunction.constant(space, const)).scale(theta)
         transitions[(i, j)] = phi
-        back = {name: Fraction(s) for name, s in zip(torus.names, n)}
-        transitions[(j, i)] = (-phi).shift(back)
+        transitions[(j, i)] = (-phi).shift(cover.frame_shift(j, i))
 
     data = CechConnectionData(cover, omega, alphas, transitions, {})
     consts: dict[tuple[int, int, int], Scalar] = {}

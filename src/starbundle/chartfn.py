@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from math import comb
+from typing import Mapping, Sequence, Union
 
 from .scalar import CScalar, Scalar
 
@@ -69,12 +70,14 @@ class ChartSpace:
         """Variable map embedding this space as the j-th factor (1-based)."""
         return {n: f"{n}_{j}" for n in self.names}
 
-    def to_json(self) -> dict:
-        return {"names": list(self.names), "periodic": list(self.periodic)}
-
-    @staticmethod
-    def from_json(data: Mapping) -> "ChartSpace":
-        return ChartSpace(tuple(data["names"]), tuple(bool(p) for p in data["periodic"]))
+    def pair_map(self, a: int, b: int) -> dict[str, str]:
+        """Variable map sending factors 1 and 2 of ``copies(2)`` to factors a
+        and b (1-based) of a larger product."""
+        mapping = {}
+        for n in self.names:
+            mapping[f"{n}_1"] = f"{n}_{a}"
+            mapping[f"{n}_2"] = f"{n}_{b}"
+        return mapping
 
 
 def _quarter_phase(q: Fraction) -> CScalar:
@@ -408,14 +411,11 @@ class ChartFunction:
         translations in this package are always by integer lattice vectors).
         """
         dvec = [Fraction(delta.get(n, 0)) for n in self.space.names]
-        result = ChartFunction.zero(self.space)
-        from math import comb
-
+        out: dict[tuple[tuple[int, ...], tuple[int, ...]], CScalar] = {}
         for (mon, freq), c in self._terms.items():
             phase_arg = sum((Fraction(k) * d for k, d in zip(freq, dvec)), Fraction(0))
             coeff = c * _quarter_phase(phase_arg)
             # expand prod (u_i + d_i)^{e_i}
-            expanded: dict[tuple[int, ...], Fraction] = {(0,) * 0: Fraction(1)}
             exps: list[tuple[int, Fraction]] = list(zip(mon, dvec))
             keys: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
             for e, d in exps:
@@ -424,16 +424,14 @@ class ChartFunction:
                     for r in range(e + 1):
                         new_keys.append((prefix + (r,), w * comb(e, r) * d ** (e - r)))
                 keys = new_keys
-            terms = {}
             for mon2, w in keys:
                 if w == 0:
                     continue
                 key = (mon2, freq)
-                acc = terms.get(key)
+                acc = out.get(key)
                 add = coeff * CScalar(Scalar.rational(w))
-                terms[key] = add if acc is None else acc + add
-            result = result + ChartFunction(self.space, terms)
-        return result
+                out[key] = add if acc is None else acc + add
+        return ChartFunction(self.space, out)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> CScalar:
         """Exact evaluation at a rational point.
@@ -483,36 +481,3 @@ class ChartFunction:
         if self.is_trig():
             return "trig"
         return "mixed"
-
-    def to_json(self) -> dict:
-        return {
-            "space": self.space.to_json(),
-            "kind": self.kind(),
-            "terms": [
-                {
-                    "mon": list(mon),
-                    "freq": list(freq),
-                    "re": c.re.to_json(),
-                    "im": c.im.to_json(),
-                }
-                for (mon, freq), c in self._sorted_terms()
-            ],
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "ChartFunction":
-        space = ChartSpace.from_json(data["space"])
-        terms = {}
-        for item in data["terms"]:
-            key = (tuple(item["mon"]), tuple(item["freq"]))
-            terms[key] = CScalar(
-                Scalar.from_json(item["re"]), Scalar.from_json(item["im"])
-            )
-        return ChartFunction(space, terms)
-
-
-def function_sum(space: ChartSpace, items: Iterable[ChartFunction]) -> ChartFunction:
-    total = ChartFunction.zero(space)
-    for f in items:
-        total = total + f
-    return total

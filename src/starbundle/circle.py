@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chartfn import ChartFunction, ChartSpace
+from .chartfn import ChartFunction
 from .forms import DifferentialForm
 from .manifold import Torus
 from .scalar import CScalar, Scalar
@@ -29,16 +29,6 @@ def _constant_integer(f: ChartFunction) -> tuple[bool, str]:
     if not v.re.is_integer():
         return False, f"non-integer constant: {v.re}"
     return True, str(v.re)
-
-
-def _copy_embed(f: ChartFunction, base: ChartSpace, target: ChartSpace, src: int, dst_a: int, dst_b: int) -> ChartFunction:
-    """Embed a two-point function (copies src=(1,2)) into a triple chart
-    as the (dst_a, dst_b) pair."""
-    mapping = {}
-    for name in base.names:
-        mapping[f"{name}_1"] = f"{name}_{dst_a}"
-        mapping[f"{name}_2"] = f"{name}_{dst_b}"
-    return f.embed(target, mapping)
 
 
 @dataclass(frozen=True)
@@ -76,11 +66,10 @@ class LocalCircleFunction:
     def cocycle_defect(self) -> ChartFunction:
         """Phi(x,y) + Phi(y,z) - Phi(x,z) on the tripled chart."""
         base = self.torus.space
-        pair = base.copies(2)
         triple = base.copies(3)
-        f12 = _copy_embed(self.phi, base, triple, 0, 1, 2)
-        f23 = _copy_embed(self.phi, base, triple, 0, 2, 3)
-        f13 = _copy_embed(self.phi, base, triple, 0, 1, 3)
+        f12 = self.phi.embed(triple, base.pair_map(1, 2))
+        f23 = self.phi.embed(triple, base.pair_map(2, 3))
+        f13 = self.phi.embed(triple, base.pair_map(1, 3))
         return f12 + f23 - f13
 
     def diagonal_value(self) -> ChartFunction:
@@ -123,16 +112,6 @@ class CircleCocycleReport:
             and self.well_defined
         )
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "diagonal_integral": self.diagonal_integral,
-            "cocycle_integral": self.cocycle_integral,
-            "inverse_integral": self.inverse_integral,
-            "well_defined": self.well_defined,
-            "details": [list(d) for d in self.details],
-        }
-
 
 def check_circle_cocycle(a: LocalCircleFunction) -> CircleCocycleReport:
     details = []
@@ -158,7 +137,7 @@ def one_form_from_circle(a: LocalCircleFunction) -> DifferentialForm:
     """
     report = check_circle_cocycle(a)
     if not report.passed:
-        raise ValueError(f"not a local circle function: {report.to_json()['details']}")
+        raise ValueError(f"not a local circle function: {report.details}")
     base = a.torus.space
     pair = base.copies(2)
     coeffs = {}

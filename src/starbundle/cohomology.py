@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .forms import DifferentialForm
-from .manifold import Manifold, Sphere2, Torus, manifold_from_json
+from .manifold import Manifold, Sphere2, Torus
 from .scalar import Scalar
 
 
@@ -111,19 +111,6 @@ class CohomologyClass:
 
     def __str__(self) -> str:
         return " + ".join(str(f) for f in self.components) if self.components else "0"
-
-    def to_json(self) -> dict:
-        return {
-            "manifold": self.manifold.to_json(),
-            "components": [f.to_json() for f in self.components],
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "CohomologyClass":
-        manifold = manifold_from_json(data["manifold"])
-        return CohomologyClass(
-            manifold, tuple(DifferentialForm.from_json(f) for f in data["components"])
-        )
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .manifold import Torus
 
@@ -54,25 +54,6 @@ class Rect:
             centers.append((lo + hi) / 2)
             widths.append((hi - lo) / 2)
         return Rect(tuple(centers), tuple(widths))
-
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        return all(
-            self.bounds(ax)[0] < Fraction(p) < self.bounds(ax)[1]
-            for ax, p in enumerate(point)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "center": [str(c) for c in self.center],
-            "halfwidth": [str(w) for w in self.halfwidth],
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "Rect":
-        return Rect(
-            tuple(Fraction(c) for c in data["center"]),
-            tuple(Fraction(w) for w in data["halfwidth"]),
-        )
 
 
 def _axis_lifts(c1: Fraction, w1: Fraction, c2: Fraction, w2: Fraction) -> list[int]:
@@ -198,6 +179,13 @@ class GoodCover:
             return tuple(-s for s in self._pair_lifts[(j, i)])
         raise KeyError(f"charts {i} and {j} do not overlap")
 
+    def frame_shift(self, i: int, j: int) -> dict[str, Fraction]:
+        """The shift moving chart j's frame into chart i's frame: a function
+        f in chart j's coordinates reads ``f.shift(frame_shift(i, j))`` in
+        chart i's."""
+        lift = self.pair_lift(i, j)
+        return {n: Fraction(-s) for n, s in zip(self.torus.names, lift)}
+
     def overlaps(self, i: int, j: int) -> bool:
         if i == j:
             return True
@@ -222,31 +210,3 @@ class GoodCover:
     def complete_pairwise(self) -> bool:
         n = len(self.charts)
         return len(self.pairs) == n * (n - 1) // 2
-
-    # -- serialization --------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.torus.dim,
-            "charts": [r.to_json() for r in self.charts],
-            "lifts": {
-                "pairs": {
-                    f"{i},{j}": list(self._pair_lifts[(i, j)]) for i, j in self.pairs
-                },
-                "triples": {
-                    f"{i},{j},{k}": [
-                        list(self.pair_lift(i, j)),
-                        list(self.pair_lift(i, k)),
-                    ]
-                    for i, j, k in self.triples
-                },
-            },
-            "grid": list(self.grid_shape) if self.grid_shape else None,
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "GoodCover":
-        torus = Torus(int(data["dim"]))
-        charts = [Rect.from_json(r) for r in data["charts"]]
-        grid = tuple(data["grid"]) if data.get("grid") else None
-        return GoodCover(torus, charts, grid_shape=grid)

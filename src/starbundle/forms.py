@@ -8,10 +8,10 @@ degrees are allowed (characteristic classes are inhomogeneous).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .chartfn import ChartFunction, ChartSpace, CoeffLike
-from .manifold import Manifold, Sphere2, Torus, manifold_from_json
+from .manifold import Manifold, Sphere2, Torus
 from .scalar import CScalar, Scalar
 
 
@@ -278,28 +278,3 @@ class DifferentialForm:
 
     def __repr__(self) -> str:
         return f"DifferentialForm({self})"
-
-    def to_json(self) -> dict:
-        return {
-            "manifold": self.manifold.to_json(),
-            "terms": [
-                {"idx": list(idx), "coeff": self._terms[idx].to_json()}
-                for idx in sorted(self._terms, key=lambda k: (len(k), k))
-            ],
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "DifferentialForm":
-        manifold = manifold_from_json(data["manifold"])
-        terms = {
-            tuple(item["idx"]): ChartFunction.from_json(item["coeff"])
-            for item in data["terms"]
-        }
-        return DifferentialForm(manifold, terms)
-
-
-def form_sum(manifold: Manifold, items: Iterable[DifferentialForm]) -> DifferentialForm:
-    total = DifferentialForm.zero(manifold)
-    for w in items:
-        total = total + w
-    return total

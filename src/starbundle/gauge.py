@@ -62,14 +62,6 @@ class ConstCoeffOperator:
                 total = total + g.scale(coeff)
         return total
 
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"order": list(order), "coeff": coeff.to_json()}
-                for order, coeff in self.terms
-            ]
-        }
-
 
 @dataclass(frozen=True)
 class GaugeOperator:
@@ -135,12 +127,6 @@ class GaugeOperator:
                     c = c - op.apply(out[k - j])
             out.append(c)
         return FormalSeries(self.space, out)
-
-    def to_json(self) -> dict:
-        return {
-            "K": self.K,
-            "ops": {str(k): op.to_json() for k, op in self.operators},
-        }
 
 
 @dataclass(frozen=True)

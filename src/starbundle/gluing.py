@@ -70,11 +70,10 @@ class PartitionOfUnity:
     their sum telescopes to 1 exactly and each is certified nonnegative.
     """
 
-    def __init__(self, cover: GoodCover, axis_windows: Sequence[Sequence[ChartFunction]], family: str = "custom"):
+    def __init__(self, cover: GoodCover, axis_windows: Sequence[Sequence[ChartFunction]]):
         if cover.grid_shape is None:
             raise GluingError("partitions are built over grid covers")
         self.cover = cover
-        self.family = family
         self.axis_windows = tuple(tuple(ws) for ws in axis_windows)
         space = cover.torus.space
         if len(self.axis_windows) != cover.torus.dim:
@@ -148,7 +147,7 @@ class PartitionOfUnity:
                 raise GluingError(
                     f"no exact rational window family for a {n}-grid axis"
                 )
-        return PartitionOfUnity(cover, axis_windows, family=family)
+        return PartitionOfUnity(cover, axis_windows)
 
     def window(self, chart_index: int) -> ChartFunction:
         coords = self._coords[chart_index]
@@ -160,14 +159,6 @@ class PartitionOfUnity:
     def all_windows(self) -> list[ChartFunction]:
         return [self.window(i) for i in range(len(self.cover.charts))]
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "axis_windows": [
-                [w.to_json() for w in ws] for ws in self.axis_windows
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -177,13 +168,6 @@ class ConsistencyReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "pairs_checked": self.pairs_checked,
-            "failures": list(self.failures),
-        }
 
 
 class GluedConnection:
@@ -205,10 +189,6 @@ class GluedConnection:
     def torus(self) -> Torus:
         return self.bundle.torus
 
-    def _shift_map(self, i: int, j: int) -> dict[str, Fraction]:
-        lift = self.bundle.cover.pair_lift(i, j)
-        return {n: Fraction(-s) for n, s in zip(self.torus.names, lift)}
-
     def consistency_report(self) -> ConsistencyReport:
         """beta_i - beta_j = d phi_ij on every overlap, exactly."""
         failures = []
@@ -216,7 +196,7 @@ class GluedConnection:
         count = 0
         for (i, j) in data.transitions:
             count += 1
-            beta_j_here = self.left_forms[j].shift(self._shift_map(i, j))
+            beta_j_here = self.left_forms[j].shift(self.bundle.cover.frame_shift(i, j))
             dphi = DifferentialForm.from_function(self.torus, data.transition(i, j)).exterior_d()
             if self.left_forms[i] - beta_j_here != dphi:
                 failures.append(f"charts ({i},{j}): glued forms are inconsistent")
@@ -246,7 +226,7 @@ class GluedConnection:
                 additive_failures.append(f"chart {chart}: additivity identity fails")
         return {
             "passed": consistency.passed and not additive_failures,
-            "overlap_consistency": consistency.to_json(),
+            "overlap_consistency": consistency,
             "additivity_failures": additive_failures,
         }
 
@@ -260,11 +240,7 @@ def check_product_additivity(pair_form: DifferentialForm, base: ChartSpace) -> b
     triple = ProductChart(base.copies(3))
 
     def pull(a: int, b: int) -> DifferentialForm:
-        mapping = {}
-        for n in base.names:
-            mapping[f"{n}_1"] = f"{n}_{a}"
-            mapping[f"{n}_2"] = f"{n}_{b}"
-        return pair_form.embed(triple, mapping)
+        return pair_form.embed(triple, base.pair_map(a, b))
 
     return (pull(1, 2) + pull(2, 3) - pull(1, 3)).is_zero()
 
@@ -282,7 +258,9 @@ def glue_multiplicative_connection(
     translated integrands are defined chart-wide.
     """
     cover = bundle.cover
-    if partition.cover is not cover and partition.cover.to_json() != cover.to_json():
+    if partition.cover is not cover and (
+        partition.cover.torus, partition.cover.charts, partition.cover.grid_shape
+    ) != (cover.torus, cover.charts, cover.grid_shape):
         raise GluingError("partition is subordinate to a different cover")
     if not cover.complete_pairwise():
         raise GluingError(
@@ -310,12 +288,10 @@ def glue_multiplicative_connection(
             if j == i:
                 transported = initial[i]
             else:
-                lift = cover.pair_lift(i, j)
-                shift = {n: Fraction(-s) for n, s in zip(torus.names, lift)}
                 dphi = DifferentialForm.from_function(
                     torus, data.transition(i, j)
                 ).exterior_d()
-                transported = initial[j].shift(shift) + dphi
+                transported = initial[j].shift(cover.frame_shift(i, j)) + dphi
             total = total + transported.multiply_function(windows[j])
         left_forms[i] = total
     return GluedConnection(bundle, partition, initial, left_forms)
@@ -328,14 +304,12 @@ def left_curvature(connection: GluedConnection) -> DifferentialForm:
     torus; for bundles built from the Cech solver with default initial data
     this returns the input 2-form bitwise.
     """
-    torus = connection.torus
+    cover = connection.bundle.cover
     curvatures = {i: beta.exterior_d() for i, beta in connection.left_forms.items()}
     items = sorted(curvatures.items())
     first = items[0][1]
     for i, curv in items[1:]:
-        lift = connection.bundle.cover.pair_lift(items[0][0], i)
-        shift = {n: Fraction(-s) for n, s in zip(torus.names, lift)}
-        if curv.shift(shift) != first:
+        if curv.shift(cover.frame_shift(items[0][0], i)) != first:
             raise GluingError("glued curvature is not globally consistent")
         if curv != first:
             raise GluingError("glued curvature does not descend to the torus")
@@ -388,11 +362,7 @@ class FormalQuotientWeight:
         triple = ProductChart(base.copies(3)).space
 
         def pull(f: ChartFunction, a: int, b: int) -> ChartFunction:
-            mapping = {}
-            for n in base.names:
-                mapping[f"{n}_1"] = f"{n}_{a}"
-                mapping[f"{n}_2"] = f"{n}_{b}"
-            return f.embed(triple, mapping)
+            return f.embed(triple, base.pair_map(a, b))
 
         lhs = pull(self.num, 1, 2) * pull(self.num, 2, 3) * pull(self.den, 1, 3)
         rhs = pull(self.num, 1, 3) * pull(self.den, 1, 2) * pull(self.den, 2, 3)
@@ -429,8 +399,8 @@ class GluedMetric:
         half_dh = dh.scale(Fraction(1, 2))
         identity_holds = (half_dh + half_dh) == dh
         return {
-            "correction_numerator": half_dh.to_json(),
-            "correction_denominator": self.weight.to_json(),
+            "correction_numerator": half_dh,
+            "correction_denominator": self.weight,
             "leibniz_identity": identity_holds,
         }
 
@@ -480,13 +450,6 @@ class ChernClassResult:
     cohomology_class: CohomologyClass
     coefficient: Scalar
     is_integral: bool
-
-    def to_json(self) -> dict:
-        return {
-            "class": self.cohomology_class.to_json(),
-            "coefficient": self.coefficient.to_json(),
-            "integral": self.is_integral,
-        }
 
 
 def chern_class(

@@ -17,11 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .scalar import CScalar, Scalar
-
-
-def _cs(re, im=0) -> CScalar:
-    return CScalar(Scalar.rational(Fraction(re)), Scalar.rational(Fraction(im)))
+from .scalar import CScalar, Scalar, _cs
 
 
 def _cdiv(a: CScalar, b: CScalar) -> CScalar:
@@ -123,35 +119,6 @@ class SymbolFunction:
         inside = int(np.sum(np.abs(roots) < 1.0))
         return inside + lo
 
-    def to_json(self) -> dict:
-        return {
-            "coeffs": {str(n): self.coeffs[n].to_json() for n in sorted(self.coeffs)}
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "SymbolFunction":
-        return SymbolFunction(
-            {int(n): CScalar.from_json(c) for n, c in data["coeffs"].items()}
-        )
-
-
-@dataclass(frozen=True)
-class HardyTruncation:
-    """Projector onto Fourier modes 0..N inside a larger mode range."""
-
-    N: int
-
-    def matrix(self, total: int) -> np.ndarray:
-        if total < self.N + 1:
-            raise ValueError("ambient size smaller than the truncation")
-        diag = np.zeros(total)
-        diag[: self.N + 1] = 1.0
-        return np.diag(diag)
-
-    def is_projection(self, total: int) -> bool:
-        p = self.matrix(total)
-        return bool(np.array_equal(p @ p, p))
-
 
 class ToeplitzMatrix:
     """Exact banded compression P M_f P on modes 0..N."""
@@ -182,9 +149,6 @@ class ToeplitzMatrix:
             idx = np.arange(max(0, band), min(n, n + band))
             out[idx, idx - band] = value
         return out
-
-    def to_json(self) -> dict:
-        return {"N": self.N, "symbol": self.symbol.to_json()}
 
 
 def toeplitz_matrix(f: SymbolFunction, N: int) -> ToeplitzMatrix:
@@ -268,15 +232,6 @@ class HardyIndexResult:
     parametrix_method: str
     parametrix_bound: float
 
-    def to_json(self) -> dict:
-        return {
-            "index_estimate": self.value,
-            "N": self.N,
-            "M": self.M,
-            "parametrix": self.parametrix_method,
-            "parametrix_bound": self.parametrix_bound,
-        }
-
 
 def hardy_index(f: SymbolFunction, N: int, M: int) -> HardyIndexResult:
     """Stabilized trace estimate of ind(T_f); converges to -winding(f).
@@ -297,20 +252,3 @@ def hardy_index(f: SymbolFunction, N: int, M: int) -> HardyIndexResult:
     gf = (tg @ tf)[: N + 1, : N + 1]
     value = float(np.real(np.trace(fg) - np.trace(gf)))
     return HardyIndexResult(value, N, M, par.method, par.truncation_bound)
-
-
-def hardy_index_additivity(
-    f1: SymbolFunction, f2: SymbolFunction, N: int, M: int, tolerance: float = 1e-6
-) -> dict:
-    """|ind(f1 f2) - ind(f1) - ind(f2)| against the tolerance."""
-    r1 = hardy_index(f1, N, M)
-    r2 = hardy_index(f2, N, M)
-    r12 = hardy_index(f1 * f2, N, M)
-    defect = abs(r12.value - r1.value - r2.value)
-    return {
-        "passed": defect < tolerance,
-        "defect": defect,
-        "tolerance": tolerance,
-        "product": r12.to_json(),
-        "factors": [r1.to_json(), r2.to_json()],
-    }

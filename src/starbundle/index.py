@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .cohomology import CohomologyClass, exp_twist, todd_class
 from .forms import DifferentialForm
@@ -77,34 +76,12 @@ class EllipticSymbolClass:
         )
         return EllipticSymbolClass(rank, rank, gamma)
 
-    def to_json(self) -> dict:
-        return {
-            "rankE": self.rank_e,
-            "rankF": self.rank_f,
-            "gamma": self.gamma.to_json(),
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "EllipticSymbolClass":
-        return EllipticSymbolClass(
-            int(data["rankE"]),
-            int(data["rankF"]),
-            CohomologyClass.from_json(data["gamma"]),
-        )
-
 
 @dataclass(frozen=True)
 class IndexResult:
     value: Scalar
     by_degree: tuple[tuple[int, Scalar], ...]
     is_integer: bool
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value.to_json(),
-            "by_degree": {str(d): v.to_json() for d, v in self.by_degree},
-            "integer": self.is_integer,
-        }
 
 
 def twisted_index(
@@ -156,8 +133,8 @@ def check_log_multiplicativity(
     equal = lhs.value == r1.value + r2.value
     return {
         "passed": equal,
-        "composite": lhs.to_json(),
-        "factors": [r1.to_json(), r2.to_json()],
+        "composite": lhs,
+        "factors": [r1, r2],
     }
 
 
@@ -195,8 +172,8 @@ def check_homotopy_invariance(
         after = twisted_index(perturbed, omega, manifold)
     return {
         "passed": before.value == after.value,
-        "before": before.to_json(),
-        "after": after.to_json(),
+        "before": before,
+        "after": after,
     }
 
 
@@ -219,6 +196,6 @@ def check_tensor_consistency(a: EllipticSymbolClass, m: int, manifold: Torus) ->
     rhs = twisted_index(tensored, None, manifold)
     return {
         "passed": lhs.value == rhs.value,
-        "twisted": lhs.to_json(),
-        "tensored_untwisted": rhs.to_json(),
+        "twisted": lhs,
+        "tensored_untwisted": rhs,
     }

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chartfn import ChartSpace
 
@@ -52,9 +52,6 @@ class Torus:
     def is_compact(self) -> bool:
         return True
 
-    def to_json(self) -> dict:
-        return {"type": "torus", "n": self.n, "names": list(self.names)}
-
 
 @dataclass(frozen=True)
 class Sphere2:
@@ -78,9 +75,6 @@ class Sphere2:
     @property
     def is_compact(self) -> bool:
         return True
-
-    def to_json(self) -> dict:
-        return {"type": "sphere2"}
 
 
 @dataclass(frozen=True)
@@ -109,9 +103,6 @@ class EuclideanChart:
     def is_compact(self) -> bool:
         return False
 
-    def to_json(self) -> dict:
-        return {"type": "euclidean", "names": list(self.names)}
-
 
 @dataclass(frozen=True)
 class ProductChart:
@@ -138,21 +129,5 @@ class ProductChart:
     def is_compact(self) -> bool:
         return False
 
-    def to_json(self) -> dict:
-        return {"type": "product-chart", "space": self.chart_space.to_json()}
-
 
 Manifold = Torus | Sphere2 | EuclideanChart | ProductChart
-
-
-def manifold_from_json(data: Mapping) -> Manifold:
-    t = data["type"]
-    if t == "torus":
-        return Torus(int(data["n"]), tuple(data["names"]))
-    if t == "sphere2":
-        return Sphere2()
-    if t == "euclidean":
-        return EuclideanChart(tuple(data["names"]))
-    if t == "product-chart":
-        return ProductChart(ChartSpace.from_json(data["space"]))
-    raise ValueError(f"unknown manifold type {t!r}")

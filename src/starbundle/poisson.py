@@ -91,12 +91,6 @@ class PoissonStructure:
                 cof[j][i] = m if sign == 1 else -m
         return tuple(tuple(row) for row in cof)
 
-    def to_json(self) -> dict:
-        return {
-            "space": self.space.to_json(),
-            "matrix": [[s.to_json() for s in row] for row in self.matrix],
-        }
-
 
 def poisson_bracket(
     a: ChartFunction, b: ChartFunction, structure: PoissonStructure

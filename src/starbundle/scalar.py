@@ -10,7 +10,7 @@ identities) are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 import math
 import re
 
@@ -166,6 +166,9 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a rational Scalar equals its Fraction (0 when zero), so hash as it
+        if self.is_rational():
+            return hash(self._terms.get(0, Fraction(0)))
         return hash(frozenset(self._terms.items()))
 
     # -- rendering ------------------------------------------------------
@@ -190,20 +193,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"pi": m, "q": str(self._terms[m])} for m in sorted(self._terms)
-            ]
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "Scalar":
-        terms = {}
-        for item in data["terms"]:
-            terms[int(item["pi"])] = Fraction(item["q"])
-        return Scalar(terms)
 
 
 _TERM_RE = re.compile(
@@ -319,6 +308,9 @@ class CScalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
+        # a real CScalar equals its real part, so hash as it
+        if self.im.is_zero():
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
@@ -334,16 +326,7 @@ class CScalar:
     def __repr__(self) -> str:
         return f"CScalar({self})"
 
-    def to_json(self) -> dict:
-        return {"re": self.re.to_json(), "im": self.im.to_json()}
 
-    @staticmethod
-    def from_json(data: Mapping) -> "CScalar":
-        return CScalar(Scalar.from_json(data["re"]), Scalar.from_json(data["im"]))
-
-
-def scalar_sum(items: Iterable[Scalar]) -> Scalar:
-    total = Scalar.zero()
-    for x in items:
-        total = total + x
-    return total
+def _cs(re, im=0) -> CScalar:
+    """CScalar with rational parts, from anything ``Fraction`` accepts."""
+    return CScalar(Scalar.rational(Fraction(re)), Scalar.rational(Fraction(im)))

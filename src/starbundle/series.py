@@ -6,7 +6,7 @@ the minimum truncation of their operands and never extrapolate.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .chartfn import ChartFunction, ChartSpace, CoeffLike
 
@@ -117,13 +117,3 @@ class FormalSeries:
 
     def __repr__(self) -> str:
         return f"FormalSeries(K={self.K}, {self})"
-
-    def to_json(self) -> dict:
-        return {"K": self.K, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data: Mapping) -> "FormalSeries":
-        coeffs = [ChartFunction.from_json(c) for c in data["coeffs"]]
-        if len(coeffs) != int(data["K"]) + 1:
-            raise ValueError("series truncation does not match coefficient count")
-        return FormalSeries(coeffs[0].space, coeffs)

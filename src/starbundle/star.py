@@ -12,11 +12,10 @@ which the toolkit verifies by exact expansion rather than assuming.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chartfn import ChartFunction
 from .poisson import PoissonStructure
@@ -124,14 +123,6 @@ class PureStarProduct:
         return self.multiply(a, b, K) - self.multiply(b, a, K)
 
 
-def star_multiply(a: StarInput, b: StarInput, product: PureStarProduct, K: int | None = None) -> FormalSeries:
-    return product.multiply(a, b, K)
-
-
-def star_commutator(a: StarInput, b: StarInput, product: PureStarProduct, K: int | None = None) -> FormalSeries:
-    return product.commutator(a, b, K)
-
-
 @dataclass(frozen=True)
 class AssociativityReport:
     requested_order: int
@@ -143,33 +134,12 @@ class AssociativityReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> dict:
-        return {
-            "requested_order": self.requested_order,
-            "verified_order": self.verified_order,
-            "samples": self.samples,
-            "violations": [dict(v) for v in self.violations],
-        }
-
 
 def _associator_defect(product, triple, K):
     a, b, c = triple
     left = product.multiply(product.multiply(a, b, K), c, K)
     right = product.multiply(a, product.multiply(b, c, K), K)
     return left - right
-
-
-def _assoc_worker(args):
-    product, index, triple, K = args
-    defect = _associator_defect(product, triple, K)
-    order = defect.first_nonzero_order()
-    if order is None:
-        return None
-    return {
-        "sample": index,
-        "first_nonzero_order": order,
-        "coefficient": str(defect.coefficient(order)),
-    }
 
 
 def check_associativity(
@@ -179,25 +149,26 @@ def check_associativity(
 ) -> AssociativityReport:
     """Expand (a*b)*c - a*(b*c) exactly for every sampled triple.
 
-    Violations are report content, not exceptions.  Honors the
-    STARBUNDLE_PARALLEL env var for the embarrassingly parallel sweep.
+    Violations are report content, not exceptions.
     """
-    jobs = [(product, i, triple, K) for i, triple in enumerate(samples)]
-    workers = int(os.environ.get("STARBUNDLE_PARALLEL", "1") or "1")
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_assoc_worker, jobs))
-    else:
-        results = [_assoc_worker(job) for job in jobs]
-    violations = tuple(r for r in results if r is not None)
+    violations = []
+    for index, triple in enumerate(samples):
+        defect = _associator_defect(product, triple, K)
+        order = defect.first_nonzero_order()
+        if order is not None:
+            violations.append(
+                {
+                    "sample": index,
+                    "first_nonzero_order": order,
+                    "coefficient": str(defect.coefficient(order)),
+                }
+            )
     verified = K if not violations else min(v["first_nonzero_order"] for v in violations) - 1
     return AssociativityReport(
         requested_order=K,
         verified_order=verified,
-        samples=len(jobs),
-        violations=violations,
+        samples=len(samples),
+        violations=tuple(violations),
     )
 
 

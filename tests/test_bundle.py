@@ -93,9 +93,3 @@ def test_germ_composability_guard():
     w = GermElement(1, pts[2], pts[0], PolarC.one())
     with pytest.raises(BundleError):
         bundle.compose(u, w, anchor=0)
-
-
-def test_bundle_json_round_trip():
-    bundle = make_bundle(Scalar.rational(Fraction(3, 7)))
-    again = LocalLineBundle.from_json(bundle.to_json())
-    assert again.data.triple_constants == bundle.data.triple_constants

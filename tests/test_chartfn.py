@@ -119,10 +119,3 @@ def test_embed_into_pair_space():
     for n in T2.names:
         diag = diag.identify(f"{n}_1", f"{n}_2")
     assert diag == f.embed(pair, T2.copy_map(2))
-
-
-def test_json_round_trip(rng):
-    f = random_poly(R2, rng) + ChartFunction.constant(R2, CScalar(0, Scalar.pi()))
-    assert ChartFunction.from_json(f.to_json()) == f
-    g = random_trig(T2, rng, real=False)
-    assert ChartFunction.from_json(g.to_json()) == g

@@ -218,6 +218,3 @@ def test_symbol_class_validation():
     )
     with pytest.raises(ValueError):
         EllipticSymbolClass(1, 1, bad_gamma)
-    json_round = EllipticSymbolClass.on_torus2(T2, 2, 5)
-    again = EllipticSymbolClass.from_json(json_round.to_json())
-    assert again.gamma == json_round.gamma

@@ -50,15 +50,6 @@ def test_larger_grid_not_complete():
     assert len(cover.charts) == 16
 
 
-def test_cover_json_round_trip():
-    cover = GoodCover.grid(T2, 3)
-    data = cover.to_json()
-    again = GoodCover.from_json(data)
-    assert again.charts == cover.charts
-    assert again.pairs == cover.pairs
-    assert again.triples == cover.triples
-
-
 @pytest.mark.parametrize(
     "theta",
     [Scalar.zero(), Scalar.rational(Fraction(3, 7)), Scalar.pi(1, 2)],
@@ -116,13 +107,3 @@ def test_solve_cech_rejects_wrong_degree_or_manifold():
         solve_cech(DifferentialForm.basis(T2, "dx"), cover)
     with pytest.raises(CechError):
         solve_cech(constant_two_form(Torus(2, ("u", "v")), 1), cover)
-
-
-def test_cech_json_round_trip():
-    cover = GoodCover.grid(T2, 3)
-    data = solve_cech(constant_two_form(T2, Fraction(3, 7)), cover)
-    from starbundle.cech import CechConnectionData
-
-    again = CechConnectionData.from_json(data.to_json())
-    assert again.verify().passed
-    assert again.triple_constants == data.triple_constants

@@ -128,8 +128,3 @@ def test_embed_and_shift():
     assert shifted == DifferentialForm(
         T2, {(1,): fn(T2, "x") + ChartFunction.constant(T2.space, 2)}
     )
-
-
-def test_json_round_trip(rng):
-    w = random_form(T2, 1, rng, trig=True) + DifferentialForm.basis(T2, "dx", "dy")
-    assert DifferentialForm.from_json(w.to_json()) == w

@@ -6,7 +6,7 @@ from starbundle.chartfn import ChartFunction, ChartSpace
 from starbundle.gauge import ConstCoeffOperator, GaugeOperator, TwistedProduct, gauge_twist
 from starbundle.poisson import PoissonStructure, poisson_bracket
 from starbundle.series import FormalSeries
-from starbundle.star import PureStarProduct, star_multiply
+from starbundle.star import PureStarProduct
 
 from conftest import random_poly
 
@@ -21,7 +21,7 @@ def test_identity_gauge_is_noop(rng):
     T = GaugeOperator.identity(R2, 4)
     twisted = gauge_twist(S2, T)
     a, b = random_poly(R2, rng), random_poly(R2, rng)
-    assert twisted.multiply(a, b, 4) == star_multiply(a, b, S2, 4)
+    assert twisted.multiply(a, b, 4) == S2.multiply(a, b, 4)
 
 
 def test_apply_inverse_round_trip(rng):

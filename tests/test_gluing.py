@@ -89,6 +89,16 @@ def test_single_chartless_gluing_guard():
         glue_multiplicative_connection(bundle, part)
 
 
+def test_gluing_cover_guard():
+    bundle = make_bundle(Fraction(3, 7))
+    equal_cover = GoodCover.grid(T2, 3)  # equal to COVER, not the same object
+    conn = glue_multiplicative_connection(bundle, PartitionOfUnity.for_grid(equal_cover))
+    assert conn.left_forms == bundle.data.alphas
+    other_cover = GoodCover.grid(T2, 3, halfwidth=Fraction(1, 4))
+    with pytest.raises(GluingError):
+        glue_multiplicative_connection(bundle, PartitionOfUnity.for_grid(other_cover))
+
+
 def test_default_gluing_collapses_to_cech_primitives():
     # with initial = alpha the overlap identity alpha_j + d phi_ij = alpha_i
     # makes the partition average collapse exactly

@@ -68,8 +68,6 @@ def test_parse_and_json_round_trip():
         ("1 - 2pi", Scalar.one() - Scalar.pi(1, 2)),
     ]:
         assert parse_scalar(text) == expected
-    s = Scalar({-1: Fraction(3, 14), 2: Fraction(-5)})
-    assert Scalar.from_json(s.to_json()) == s
 
 
 def test_parse_rejects_garbage():
@@ -85,4 +83,16 @@ def test_cscalar_arithmetic():
     assert z.conj().conj() == z
     assert z.times_i() == z * i
     assert (z * z.conj()).is_real()
-    assert CScalar.from_json(z.to_json()) == z
+
+
+def test_equal_scalars_hash_alike():
+    for a, b in [
+        (Scalar.rational(3), 3),
+        (Scalar.rational(Fraction(3, 7)), Fraction(3, 7)),
+        (Scalar.zero(), 0),
+        (CScalar(3), 3),
+        (CScalar(3), Scalar.rational(3)),
+        (CScalar(Scalar.pi()), Scalar.pi()),
+    ]:
+        assert a == b
+        assert len({a, b}) == 1
