@@ -148,8 +148,15 @@ class CP1Function:
             other.terms, target
         )
 
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash(frozenset(self.normalized_terms().items()))
+    def __hash__(self) -> int:
+        # equal functions agree at every point, and the exact values at z = 0
+        # and z = 1 do not change when the terms are raised to another level
+        at_zero = at_one = CScalar.zero()
+        for (p, q, c), coeff in self.terms.items():
+            if p == q == 0:
+                at_zero = at_zero + coeff
+            at_one = at_one + coeff * _cs(Fraction(1, 2**c))
+        return hash((at_zero, at_one))
 
     def evaluate(self, z: complex) -> complex:
         u = abs(z) ** 2

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cech import CechConnectionData, CechError
-from .chartfn import ChartFunction
+from .cech import CechConnectionData
 from .cover import Rect
 from .scalar import Scalar
 

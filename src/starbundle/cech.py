@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .chartfn import ChartFunction
@@ -38,8 +39,23 @@ class CechReport:
         return self.curl_ok and self.overlap_ok and self.triple_ok and self.antisymmetry_ok
 
 
+def _triple_sum(cover: GoodCover, transitions: Mapping, i: int, j: int, k: int) -> ChartFunction:
+    """phi_ij + phi_jk + phi_ki in the frame anchored at chart i."""
+    total = ChartFunction.zero(cover.torus.space)
+    for a, b in ((i, j), (j, k), (k, i)):
+        if a != b:
+            total = total + transitions[(a, b)].shift(cover.frame_shift(i, a))
+    return total
+
+
 class CechConnectionData:
-    """Per-chart 1-forms, overlap transitions, triple constants for omega."""
+    """Per-chart 1-forms, overlap transitions, triple constants for omega.
+
+    Immutable: the three maps are read-only views of private copies, so the
+    report of ``verify`` is computed once and kept.
+    """
+
+    __slots__ = ("cover", "omega", "alphas", "transitions", "triple_constants", "_report")
 
     def __init__(
         self,
@@ -49,11 +65,18 @@ class CechConnectionData:
         transitions: Mapping[tuple[int, int], ChartFunction],
         triple_constants: Mapping[tuple[int, int, int], Scalar],
     ):
-        self.cover = cover
-        self.omega = omega
-        self.alphas = dict(alphas)
-        self.transitions = dict(transitions)
-        self.triple_constants = dict(triple_constants)
+        object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "alphas", MappingProxyType(dict(alphas)))
+        object.__setattr__(self, "transitions", MappingProxyType(dict(transitions)))
+        object.__setattr__(self, "triple_constants", MappingProxyType(dict(triple_constants)))
+        object.__setattr__(self, "_report", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CechConnectionData is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CechConnectionData is immutable")
 
     @property
     def torus(self) -> Torus:
@@ -81,14 +104,17 @@ class CechConnectionData:
 
     def triple_sum(self, i: int, j: int, k: int) -> ChartFunction:
         """phi_ij + phi_jk + phi_ki in the frame anchored at chart i."""
-        t1 = self.transition_in_triple_frame(i, j, i)
-        t2 = self.transition_in_triple_frame(j, k, i)
-        t3 = self.transition_in_triple_frame(k, i, i)
-        return t1 + t2 + t3
+        return _triple_sum(self.cover, self.transitions, i, j, k)
 
     # -- verification -----------------------------------------------------
 
     def verify(self) -> CechReport:
+        """Check every descent identity; computed on the first call only."""
+        if self._report is None:
+            object.__setattr__(self, "_report", self._check())
+        return self._report
+
+    def _check(self) -> CechReport:
         failures: list[str] = []
         space = self.torus.space
         curl_ok = True
@@ -172,16 +198,14 @@ def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:
         transitions[(i, j)] = phi
         transitions[(j, i)] = (-phi).shift(cover.frame_shift(j, i))
 
-    data = CechConnectionData(cover, omega, alphas, transitions, {})
     consts: dict[tuple[int, int, int], Scalar] = {}
     for i, j, k in cover.triples:
-        total = data.triple_sum(i, j, k)
+        total = _triple_sum(cover, transitions, i, j, k)
         if not total.is_constant():
             raise AssertionError(f"triple sum {i},{j},{k} is not constant: {total}")
-        v = total.constant_value()
-        consts[(i, j, k)] = v.re
-    data.triple_constants = consts
+        consts[(i, j, k)] = total.constant_value().re
 
+    data = CechConnectionData(cover, omega, alphas, transitions, consts)
     report = data.verify()
     if not report.passed:  # construction is supposed to be exact
         raise AssertionError(f"descent solution failed verification: {report.failures}")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence, Union
 
-from .scalar import CScalar, Scalar
+from .scalar import CScalar, Scalar, _cscalar, _scalar
 
 CoeffLike = Union[CScalar, Scalar, int, Fraction]
 
@@ -80,22 +80,38 @@ class ChartSpace:
         return mapping
 
 
+_QUARTER_PHASES = {
+    Fraction(0): CScalar.one(),
+    Fraction(1, 4): CScalar.i(),
+    Fraction(1, 2): -CScalar.one(),
+    Fraction(3, 4): -CScalar.i(),
+}
+
+
 def _quarter_phase(q: Fraction) -> CScalar:
     """exp(2*pi*i*q) for q in (1/4)Z; these are the only exactly
     representable unit phases in the coefficient field."""
-    q = q % 1
-    table = {
-        Fraction(0): CScalar.one(),
-        Fraction(1, 4): CScalar.i(),
-        Fraction(1, 2): -CScalar.one(),
-        Fraction(3, 4): -CScalar.i(),
-    }
-    if q not in table:
+    phase = _QUARTER_PHASES.get(q % 1)
+    if phase is None:
         raise ValueError(
-            f"phase exp(2*pi*i*{q}) is irrational over the scalar field; "
+            f"phase exp(2*pi*i*{q % 1}) is irrational over the scalar field; "
             "only quarter-integer arguments are exact"
         )
-    return table[q]
+    return phase
+
+
+def _rational(q: Fraction) -> CScalar:
+    """The real CScalar q, for a nonzero Fraction q, built trusted."""
+    return _cscalar(_scalar({0: q}), _scalar({}))
+
+
+def _chartfn(space: ChartSpace, terms: dict) -> "ChartFunction":
+    """Trusted constructor: every key of ``terms`` is already valid for
+    ``space``; zero coefficients are dropped here.  No other validation."""
+    f = object.__new__(ChartFunction)
+    object.__setattr__(f, "space", space)
+    object.__setattr__(f, "_terms", {k: c for k, c in terms.items() if not c.is_zero()})
+    return f
 
 
 class ChartFunction:
@@ -243,7 +259,7 @@ class ChartFunction:
         return True
 
     def conj(self) -> "ChartFunction":
-        return ChartFunction(
+        return _chartfn(
             self.space,
             {
                 (mon, tuple(-k for k in freq)): c.conj()
@@ -268,20 +284,27 @@ class ChartFunction:
                 f"chart mismatch: {self.space.names} vs {other.space.names}"
             )
 
+    # Results are built with the trusted ``_chartfn``: their keys come from
+    # keys that are already valid for the space.
+
     def __add__(self, other) -> "ChartFunction":
         if isinstance(other, (CScalar, Scalar, int, Fraction)):
             other = ChartFunction.constant(self.space, other)
         self._check_space(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for key, c in other._terms.items():
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
-        return ChartFunction(self.space, out)
+        return _chartfn(self.space, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ChartFunction":
-        return ChartFunction(self.space, {k: -c for k, c in self._terms.items()})
+        return _chartfn(self.space, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "ChartFunction":
         if isinstance(other, (CScalar, Scalar, int, Fraction)):
@@ -293,7 +316,7 @@ class ChartFunction:
 
     def scale(self, c: CoeffLike) -> "ChartFunction":
         c = CScalar.coerce(c)
-        return ChartFunction(self.space, {k: c * v for k, v in self._terms.items()})
+        return _chartfn(self.space, {k: c * v for k, v in self._terms.items()})
 
     def __mul__(self, other) -> "ChartFunction":
         if isinstance(other, (CScalar, Scalar, int, Fraction)):
@@ -309,7 +332,7 @@ class ChartFunction:
                 c = c1 * c2
                 acc = out.get(key)
                 out[key] = c if acc is None else acc + c
-        return ChartFunction(self.space, out)
+        return _chartfn(self.space, out)
 
     __rmul__ = __mul__
 
@@ -341,8 +364,6 @@ class ChartFunction:
         out: dict[tuple[tuple[int, ...], tuple[int, ...]], CScalar] = {}
 
         def add(key, c):
-            if c.is_zero():
-                return
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
 
@@ -350,10 +371,11 @@ class ChartFunction:
             if mon[i] > 0:
                 dm = list(mon)
                 dm[i] -= 1
-                add((tuple(dm), freq), c * CScalar(Fraction(mon[i])))
+                add((tuple(dm), freq), c * _rational(Fraction(mon[i])))
             if freq[i] != 0:
-                add((mon, freq), c * CScalar(0, Scalar.pi(1, 2 * freq[i])))
-        return ChartFunction(self.space, out)
+                two_pi_k = _scalar({1: Fraction(2 * freq[i])})
+                add((mon, freq), c * _cscalar(_scalar({}), two_pi_k))
+        return _chartfn(self.space, out)
 
     def torus_mean(self) -> CScalar:
         """Mean over the torus (unit volume).  Requires a global function."""
@@ -384,7 +406,12 @@ class ChartFunction:
             key = (tuple(m2), tuple(f2))
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
-        return ChartFunction(target, out)
+        # a periodic coordinate renamed onto an aperiodic one is the only way
+        # an output key can be invalid
+        aperiodic = [t for t in set(idx) if not target.periodic[t]]
+        if aperiodic and any(freq[t] for _, freq in out for t in aperiodic):
+            raise ValueError("Fourier frequency on a non-periodic coordinate")
+        return _chartfn(target, out)
 
     def identify(self, source: str, target: str) -> "ChartFunction":
         """Substitute coordinate ``source := target`` within the same chart."""
@@ -401,7 +428,9 @@ class ChartFunction:
             key = (tuple(m2), tuple(f2))
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
-        return ChartFunction(self.space, out)
+        if not self.space.periodic[j] and any(freq[j] for _, freq in out):
+            raise ValueError("Fourier frequency on a non-periodic coordinate")
+        return _chartfn(self.space, out)
 
     def shift(self, delta: Mapping[str, Fraction]) -> "ChartFunction":
         """Return g with g(u) = f(u + delta).
@@ -413,25 +442,25 @@ class ChartFunction:
         dvec = [Fraction(delta.get(n, 0)) for n in self.space.names]
         out: dict[tuple[tuple[int, ...], tuple[int, ...]], CScalar] = {}
         for (mon, freq), c in self._terms.items():
-            phase_arg = sum((Fraction(k) * d for k, d in zip(freq, dvec)), Fraction(0))
-            coeff = c * _quarter_phase(phase_arg)
-            # expand prod (u_i + d_i)^{e_i}
-            exps: list[tuple[int, Fraction]] = list(zip(mon, dvec))
+            phase_arg = sum(k * d for k, d in zip(freq, dvec) if k)
+            coeff = c * _quarter_phase(phase_arg) if phase_arg else c
+            # expand prod (u_i + d_i)^{e_i}; every weight w is nonzero
             keys: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
-            for e, d in exps:
+            for e, d in zip(mon, dvec):
+                if not d:
+                    keys = [(prefix + (e,), w) for prefix, w in keys]
+                    continue
                 new_keys = []
                 for prefix, w in keys:
                     for r in range(e + 1):
                         new_keys.append((prefix + (r,), w * comb(e, r) * d ** (e - r)))
                 keys = new_keys
             for mon2, w in keys:
-                if w == 0:
-                    continue
                 key = (mon2, freq)
                 acc = out.get(key)
-                add = coeff * CScalar(Scalar.rational(w))
+                add = coeff * _rational(w)
                 out[key] = add if acc is None else acc + add
-        return ChartFunction(self.space, out)
+        return _chartfn(self.space, out)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> CScalar:
         """Exact evaluation at a rational point.
@@ -444,8 +473,10 @@ class ChartFunction:
             w = Fraction(1)
             for e, x in zip(mon, pvec):
                 w *= x**e
+            if not w:
+                continue
             phase_arg = sum((Fraction(k) * x for k, x in zip(freq, pvec)), Fraction(0))
-            total = total + c * CScalar(Scalar.rational(w)) * _quarter_phase(phase_arg)
+            total = total + c * _rational(w) * _quarter_phase(phase_arg)
         return total
 
     # -- rendering ---------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .chartfn import ChartFunction
 from .forms import DifferentialForm
 from .manifold import Torus
-from .scalar import CScalar, Scalar
+from .scalar import Scalar
 
 
 def _constant_integer(f: ChartFunction) -> tuple[bool, str]:

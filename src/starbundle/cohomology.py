@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .forms import DifferentialForm
 from .manifold import Manifold, Sphere2, Torus

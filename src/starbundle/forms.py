@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .chartfn import ChartFunction, ChartSpace, CoeffLike
-from .manifold import Manifold, Sphere2, Torus
+from .chartfn import ChartFunction, CoeffLike
+from .manifold import Manifold, Sphere2
 from .scalar import CScalar, Scalar
 
 

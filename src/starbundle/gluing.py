@@ -24,7 +24,7 @@ from .cohomology import CohomologyClass
 from .cover import GoodCover
 from .forms import DifferentialForm
 from .manifold import ProductChart, Torus
-from .scalar import CScalar, Scalar
+from .scalar import Scalar
 
 
 class GluingError(ValueError):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
 
 from .chartfn import ChartFunction, ChartSpace
 from .scalar import Scalar

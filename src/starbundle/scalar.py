@@ -91,18 +91,26 @@ class Scalar:
         return self._terms.get(0, Fraction(0))
 
     # -- ring operations ----------------------------------------------
+    # Results are built with the trusted ``_scalar``: the inputs are already
+    # canonical, and each operation drops the zeros that cancellation makes.
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        other = Scalar.coerce(other)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for m, q in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + q
-        return Scalar(out)
+            acc = out.get(m)
+            out[m] = q if acc is None else acc + q
+        return _scalar({m: q for m, q in out.items() if q})
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({m: -q for m, q in self._terms.items()})
+        return _scalar({m: -q for m, q in self._terms.items()})
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self + (-Scalar.coerce(other))
@@ -111,13 +119,19 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        other = Scalar.coerce(other)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        if not self._terms:
+            return self
+        if not other._terms:
+            return other
         out: dict[int, Fraction] = {}
         for m1, q1 in self._terms.items():
             for m2, q2 in other._terms.items():
                 m = m1 + m2
-                out[m] = out.get(m, Fraction(0)) + q1 * q2
-        return Scalar(out)
+                acc = out.get(m)
+                out[m] = q1 * q2 if acc is None else acc + q1 * q2
+        return _scalar({m: q for m, q in out.items() if q})
 
     __rmul__ = __mul__
 
@@ -126,13 +140,14 @@ class Scalar:
             raise TypeError("Scalar power must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = Scalar.one()
+        result = _scalar({0: Fraction(1)})
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def is_monomial(self) -> bool:
@@ -145,7 +160,7 @@ class Scalar:
                 f"scalar {self} has no exact inverse in the Laurent-pi ring"
             )
         ((m, q),) = self._terms.items()
-        return Scalar({-m: 1 / q})
+        return _scalar({-m: 1 / q})
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
         return self * Scalar.coerce(other).inverse()
@@ -193,6 +208,14 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _scalar(terms: dict[int, Fraction]) -> Scalar:
+    """Trusted constructor: ``terms`` is a fresh dict of int -> nonzero
+    ``Fraction`` that the new Scalar owns.  No validation."""
+    s = object.__new__(Scalar)
+    s._terms = terms
+    return s
 
 
 _TERM_RE = re.compile(
@@ -261,29 +284,30 @@ class CScalar:
         if isinstance(x, CScalar):
             return x
         if isinstance(x, (Scalar, int, Fraction)):
-            return CScalar(Scalar.coerce(x))
+            return _cscalar(Scalar.coerce(x), _scalar({}))
         raise TypeError(f"cannot coerce {type(x).__name__} to CScalar")
 
     def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        return not (self.re._terms or self.im._terms)
 
     def is_real(self) -> bool:
         return self.im.is_zero()
 
     def conj(self) -> "CScalar":
-        return CScalar(self.re, -self.im)
+        return _cscalar(self.re, -self.im)
 
     def times_i(self) -> "CScalar":
-        return CScalar(-self.im, self.re)
+        return _cscalar(-self.im, self.re)
 
     def __add__(self, other) -> "CScalar":
-        other = CScalar.coerce(other)
-        return CScalar(self.re + other.re, self.im + other.im)
+        if type(other) is not CScalar:
+            other = CScalar.coerce(other)
+        return _cscalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CScalar":
-        return CScalar(-self.re, -self.im)
+        return _cscalar(-self.re, -self.im)
 
     def __sub__(self, other) -> "CScalar":
         return self + (-CScalar.coerce(other))
@@ -292,11 +316,15 @@ class CScalar:
         return CScalar.coerce(other) + (-self)
 
     def __mul__(self, other) -> "CScalar":
-        other = CScalar.coerce(other)
-        return CScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not CScalar:
+            other = CScalar.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # a real factor needs two Scalar products, not four and two sums
+        if not d._terms:
+            return _cscalar(a * c, b * c)
+        if not b._terms:
+            return _cscalar(a * c, a * d)
+        return _cscalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -325,6 +353,14 @@ class CScalar:
 
     def __repr__(self) -> str:
         return f"CScalar({self})"
+
+
+def _cscalar(re: Scalar, im: Scalar) -> CScalar:
+    """Trusted constructor from two Scalars.  No coercion."""
+    z = object.__new__(CScalar)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
+    return z
 
 
 def _cs(re, im=0) -> CScalar:

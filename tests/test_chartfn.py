@@ -61,6 +61,23 @@ def test_ring_axioms_randomized(rng):
 def test_frequency_forbidden_off_torus():
     with pytest.raises(ValueError):
         ChartFunction.fourier(R2, {"x": 1})
+    # renaming a periodic coordinate onto an aperiodic one is refused too
+    mixed = ChartSpace(("x", "y"), (False, True))
+    with pytest.raises(ValueError, match="non-periodic"):
+        ChartFunction.fourier(T2, {"x": 1}).embed(mixed, {})
+    assert ChartFunction.fourier(T2, {"y": 1}).embed(mixed, {}).space == mixed
+    with pytest.raises(ValueError, match="non-periodic"):
+        ChartFunction.fourier(mixed.copies(1), {"y_1": 1}).embed(mixed, {"y_1": "x", "x_1": "y"})
+    flipped = ChartSpace(("x", "y"), (True, False))
+    with pytest.raises(ValueError, match="non-periodic"):
+        ChartFunction.fourier(flipped, {"x": 1}).identify("x", "y")
+
+
+def test_malformed_terms_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        ChartFunction(R2, {((-1, 0), (0, 0)): 1})
+    with pytest.raises(ValueError, match="arity"):
+        ChartFunction(R2, {((0,), (0,)): 1})
 
 
 def test_reality_predicate():

@@ -107,3 +107,22 @@ def test_solve_cech_rejects_wrong_degree_or_manifold():
         solve_cech(DifferentialForm.basis(T2, "dx"), cover)
     with pytest.raises(CechError):
         solve_cech(constant_two_form(Torus(2, ("u", "v")), 1), cover)
+
+
+def test_cech_data_is_immutable():
+    data = solve_cech(constant_two_form(T2, Scalar.pi(1, 2)), GoodCover.grid(T2, 3))
+    report = data.verify()
+    assert report.passed and data.verify() is report
+    i, j = next(iter(data.transitions))
+    with pytest.raises(AttributeError):
+        data.transitions = {}
+    with pytest.raises(AttributeError):
+        data.cover = None
+    with pytest.raises(AttributeError):
+        del data.omega
+    with pytest.raises(TypeError):
+        data.transitions[(i, j)] = data.transitions[(j, i)]
+    with pytest.raises(TypeError):
+        data.alphas[0] = data.alphas[1]
+    with pytest.raises(TypeError):
+        data.triple_constants[data.cover.triples[0]] = Scalar.zero()

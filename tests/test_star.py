@@ -221,3 +221,42 @@ def test_star_trace_rejects_lifted_coordinates():
     lifted = ChartFunction.variable(T2, "x")
     with pytest.raises(ValueError):
         star_trace(lifted, ST2, 2)
+
+
+def closed_form_star(a_modes, b_modes, scale, K):
+    """B_m(e_k, e_l) = (-4 pi^2 k.Pi.l)^m / m! e_{k+l} for Pi = scale*[[0,1],[-1,0]],
+    in plain Fractions: order m -> frequency -> (re, im) of the pi^(2m) coefficient."""
+    out = [{} for _ in range(K + 1)]
+    for k, (ar, ai) in a_modes.items():
+        for l, (br, bi) in b_modes.items():
+            kpil = scale * (k[0] * l[1] - k[1] * l[0])
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            n = (k[0] + l[0], k[1] + l[1])
+            for m in range(K + 1):
+                w = (-4 * kpil) ** m / factorial(m)
+                r0, i0 = out[m].get(n, (0, 0))
+                out[m][n] = (r0 + w * re, i0 + w * im)
+    return out
+
+
+def modes(f):
+    return {freq: (c.re.as_fraction(), c.im.as_fraction()) for (_, freq), c in f.terms.items()}
+
+
+@pytest.mark.parametrize("K", [2, 6])
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(-1, 3)])
+def test_fourier_star_matches_closed_form(rng, K, scale):
+    product = PureStarProduct(PoissonStructure.standard(T2, scale))
+    zero = (0, 0)
+    for _ in range(2):
+        a = random_trig(T2, rng, max_freq=2, n_terms=3)
+        b = random_trig(T2, rng, max_freq=2, n_terms=3)
+        got = product.multiply(a, b, K)
+        expected = closed_form_star(modes(a), modes(b), scale, K)
+        for m in range(K + 1):
+            terms = {
+                (zero, n): CScalar(Scalar({2 * m: re}), Scalar({2 * m: im}))
+                for n, (re, im) in expected[m].items()
+            }
+            assert got.coefficient(m) == ChartFunction(T2, terms)
+        assert any(not got.coefficient(m).is_zero() for m in range(1, K + 1))
