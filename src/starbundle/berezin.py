@@ -282,23 +282,6 @@ class BerezinMatrix:
     def entry(self, out_idx: int, in_idx: int) -> CScalar:
         return self.entries.get((out_idx, in_idx), CScalar.zero())
 
-    def bands(self) -> set[int]:
-        return {r - c for (r, c) in self.entries}
-
-    def is_diagonal(self) -> bool:
-        return self.bands() <= {0}
-
-    def hermitian_exact(self) -> bool:
-        """Gram-weighted Hermiticity: M[b,a] d_b == conj(M[a,b]) d_a."""
-        d = gram_weights(self.k)
-        for a in range(self.size):
-            for b in range(self.size):
-                lhs = self.entry(b, a) * _cs(d[b])
-                rhs = self.entry(a, b).conj() * _cs(d[a])
-                if lhs != rhs:
-                    return False
-        return True
-
     def to_numpy_monomial(self) -> np.ndarray:
         out = np.zeros((self.size, self.size), dtype=complex)
         for (r, c), v in self.entries.items():
@@ -310,10 +293,6 @@ class BerezinMatrix:
         d = np.array([float(w) for w in gram_weights(self.k)])
         root = np.sqrt(d)
         return (root[:, None] * self.to_numpy_monomial()) / root[None, :]
-
-
-def berezin_matrix(f: CP1Function, k: int) -> BerezinMatrix:
-    return BerezinMatrix(f, k)
 
 
 @dataclass(frozen=True)
@@ -338,9 +317,9 @@ def commutator_decay(f: CP1Function, g: CP1Function, k_values: Sequence[int]) ->
         raise AdmissibilityError("levels too low for the symbol denominators")
     norms_by_sign = {1: [], -1: []}
     for k in k_values:
-        tf = berezin_matrix(f, k).to_numpy_orthonormal()
-        tg = berezin_matrix(g, k).to_numpy_orthonormal()
-        tb = berezin_matrix(bracket, k).to_numpy_orthonormal()
+        tf = BerezinMatrix(f, k).to_numpy_orthonormal()
+        tg = BerezinMatrix(g, k).to_numpy_orthonormal()
+        tb = BerezinMatrix(bracket, k).to_numpy_orthonormal()
         comm = k * (tf @ tg - tg @ tf)
         for s in (1, -1):
             defect = comm - s * 1j * tb

@@ -125,8 +125,11 @@ class LocalLineBundle:
 
     def _phase_at(self, i: int, j: int, anchor: int, point: Sequence[Fraction]) -> Scalar:
         """phi_ij evaluated at a point given in the anchor chart's frame."""
-        phi = self.data.transition_in_triple_frame(i, j, anchor)
-        value = phi.evaluate({n: Fraction(p) for n, p in zip(self.torus.names, point)})
+        # phi.shift(delta)(x) = phi(x + delta): move the point, not phi
+        delta = self.cover.frame_shift(anchor, i)
+        value = self.data.transition(i, j).evaluate(
+            {n: Fraction(p) + delta[n] for n, p in zip(self.torus.names, point)}
+        )
         if not value.is_real():
             raise AssertionError("transition phase must be real")
         return value.re

@@ -98,15 +98,22 @@ class CechConnectionData:
             return ChartFunction.zero(self.torus.space)
         return self.transitions[(i, j)]
 
-    def transition_in_triple_frame(self, i: int, j: int, anchor: int) -> ChartFunction:
-        """phi_ij shifted into the frame anchored at chart ``anchor``."""
-        return self.transition(i, j).shift(self.cover.frame_shift(anchor, i))
-
     def triple_sum(self, i: int, j: int, k: int) -> ChartFunction:
         """phi_ij + phi_jk + phi_ki in the frame anchored at chart i."""
         return _triple_sum(self.cover, self.transitions, i, j, k)
 
     # -- verification -----------------------------------------------------
+
+    def overlap_failures(self, forms: Mapping[int, DifferentialForm]) -> list[tuple[int, int]]:
+        """The overlaps (i, j) where forms[i] - forms[j] != d(phi_ij), with
+        forms[j] moved into chart i's frame."""
+        failures = []
+        for (i, j), phi in self.transitions.items():
+            form_j_here = forms[j].shift(self.cover.frame_shift(i, j))
+            dphi = DifferentialForm.from_function(self.torus, phi).exterior_d()
+            if forms[i] - form_j_here != dphi:
+                failures.append((i, j))
+        return failures
 
     def verify(self) -> CechReport:
         """Check every descent identity; computed on the first call only."""
@@ -116,20 +123,15 @@ class CechConnectionData:
 
     def _check(self) -> CechReport:
         failures: list[str] = []
-        space = self.torus.space
         curl_ok = True
         for i, alpha in self.alphas.items():
             if alpha.exterior_d() != self.omega:
                 curl_ok = False
                 failures.append(f"d(alpha_{i}) != omega")
-        overlap_ok = True
+        overlaps = self.overlap_failures(self.alphas)
+        failures.extend(f"alpha_{i} - alpha_{j} != d(phi_{i}{j})" for i, j in overlaps)
         antisym_ok = True
         for (i, j), phi in self.transitions.items():
-            alpha_j_here = self.alphas[j].shift(self.cover.frame_shift(i, j))
-            dphi = DifferentialForm.from_function(self.torus, phi).exterior_d()
-            if self.alphas[i] - alpha_j_here != dphi:
-                overlap_ok = False
-                failures.append(f"alpha_{i} - alpha_{j} != d(phi_{i}{j})")
             reverse = self.transitions.get((j, i))
             if reverse is None:
                 antisym_ok = False
@@ -149,7 +151,7 @@ class CechConnectionData:
             if not v.is_real() or v.re != const:
                 triple_ok = False
                 failures.append(f"phi_{i}{j}{k} != stored constant")
-        return CechReport(curl_ok, overlap_ok, triple_ok, antisym_ok, tuple(failures))
+        return CechReport(curl_ok, not overlaps, triple_ok, antisym_ok, tuple(failures))
 
 
 def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:

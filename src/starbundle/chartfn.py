@@ -152,13 +152,6 @@ class ChartFunction:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ChartFunction is immutable")
 
-    def __getstate__(self):
-        return (self.space, self._terms)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "space", state[0])
-        object.__setattr__(self, "_terms", state[1])
-
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -265,15 +258,6 @@ class ChartFunction:
                 (mon, tuple(-k for k in freq)): c.conj()
                 for (mon, freq), c in self._terms.items()
             },
-        )
-
-    def total_degree(self) -> int:
-        return max((sum(mon) for (mon, _) in self._terms), default=0)
-
-    def max_frequency(self) -> int:
-        return max(
-            (max((abs(k) for k in freq), default=0) for (_, freq) in self._terms),
-            default=0,
         )
 
     # -- arithmetic --------------------------------------------------------

@@ -48,12 +48,6 @@ class CohomologyClass:
     def unit(manifold: Manifold) -> "CohomologyClass":
         return CohomologyClass(manifold, (DifferentialForm.constant(manifold, 1),))
 
-    @staticmethod
-    def from_scalar(manifold: Manifold, c: Scalar | int | Fraction) -> "CohomologyClass":
-        return CohomologyClass(
-            manifold, (DifferentialForm.constant(manifold, Scalar.coerce(c)),)
-        )
-
     def component(self, degree: int) -> DifferentialForm:
         for form in self.components:
             if form.degrees() == (degree,):

@@ -186,11 +186,6 @@ class GoodCover:
         lift = self.pair_lift(i, j)
         return {n: Fraction(-s) for n, s in zip(self.torus.names, lift)}
 
-    def overlaps(self, i: int, j: int) -> bool:
-        if i == j:
-            return True
-        return (min(i, j), max(i, j)) in self._pair_lifts
-
     def pair_rect(self, i: int, j: int) -> Rect:
         """Overlap rectangle in chart i's frame."""
         lift = self.pair_lift(i, j)

@@ -130,9 +130,6 @@ class DifferentialForm:
             {k: v for k, v in self._terms.items() if len(k) == degree},
         )
 
-    def top_component(self) -> "DifferentialForm":
-        return self.component(self.manifold.dim)
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other: "DifferentialForm"):

@@ -97,12 +97,6 @@ class GaugeOperator:
     def preserves_unit(self) -> bool:
         return all(op.annihilates_constants() for _, op in self.operators)
 
-    def _op(self, k: int) -> ConstCoeffOperator | None:
-        for j, op in self.operators:
-            if j == k:
-                return op
-        return None
-
     def apply(self, series: FormalSeries) -> FormalSeries:
         if series.space != self.space:
             raise ValueError("series chart mismatch")

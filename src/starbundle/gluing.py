@@ -191,16 +191,12 @@ class GluedConnection:
 
     def consistency_report(self) -> ConsistencyReport:
         """beta_i - beta_j = d phi_ij on every overlap, exactly."""
-        failures = []
         data = self.bundle.data
-        count = 0
-        for (i, j) in data.transitions:
-            count += 1
-            beta_j_here = self.left_forms[j].shift(self.bundle.cover.frame_shift(i, j))
-            dphi = DifferentialForm.from_function(self.torus, data.transition(i, j)).exterior_d()
-            if self.left_forms[i] - beta_j_here != dphi:
-                failures.append(f"charts ({i},{j}): glued forms are inconsistent")
-        return ConsistencyReport(count, tuple(failures))
+        failures = tuple(
+            f"charts ({i},{j}): glued forms are inconsistent"
+            for i, j in data.overlap_failures(self.left_forms)
+        )
+        return ConsistencyReport(len(data.transitions), failures)
 
     def product_form(self, chart: int) -> DifferentialForm:
         """pi_L* beta - pi_R* beta on the squared chart."""
@@ -429,7 +425,6 @@ def glue_hermitian(
                 "chart-local weights cannot glue consistently without exact "
                 "support control; use globally defined weights"
             )
-        zero_mon = (0,) * torus.space.dim
         c0 = Fraction(0)
         tail = Fraction(0)
         for (mon, freq), c in h.terms.items():

@@ -12,36 +12,21 @@ parametrix order M grow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .scalar import CScalar, Scalar, _cs
-
-
-def _cdiv(a: CScalar, b: CScalar) -> CScalar:
-    """Exact division of rational complex scalars."""
-    br, bi = b.re.as_fraction(), b.im.as_fraction()
-    norm = br * br + bi * bi
-    if norm == 0:
-        raise ZeroDivisionError("division by zero coefficient")
-    inv = CScalar(Scalar.rational(br / norm), Scalar.rational(-bi / norm))
-    return a * inv
-
 
 class SymbolFunction:
-    """Trig polynomial on the circle with exact rational coefficients."""
+    """Trig polynomial with complex float coefficients (the index is a float trace)."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, CScalar]):
+    def __init__(self, coeffs: Mapping[int, complex]):
         clean = {}
         for n, c in coeffs.items():
-            c = CScalar.coerce(c)
-            if not (c.re.is_rational() and c.im.is_rational()):
-                raise ValueError("symbol coefficients must be rational")
-            if not c.is_zero():
+            c = complex(c)
+            if c:
                 clean[int(n)] = c
         object.__setattr__(self, "coeffs", clean)
 
@@ -50,35 +35,32 @@ class SymbolFunction:
 
     @staticmethod
     def constant(c) -> "SymbolFunction":
-        return SymbolFunction({0: _cs(c)})
+        return SymbolFunction({0: c})
 
     @staticmethod
     def mode(n: int, c=1) -> "SymbolFunction":
-        return SymbolFunction({n: _cs(c)})
+        return SymbolFunction({n: c})
 
     def __add__(self, other: "SymbolFunction") -> "SymbolFunction":
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            out[n] = out.get(n, CScalar.zero()) + c
+            out[n] = out.get(n, 0j) + c
         return SymbolFunction(out)
 
     def __mul__(self, other: "SymbolFunction") -> "SymbolFunction":
-        out: dict[int, CScalar] = {}
+        out: dict[int, complex] = {}
         for n1, c1 in self.coeffs.items():
             for n2, c2 in other.coeffs.items():
                 n = n1 + n2
-                out[n] = out.get(n, CScalar.zero()) + c1 * c2
+                out[n] = out.get(n, 0j) + c1 * c2
         return SymbolFunction(out)
-
-    def conj(self) -> "SymbolFunction":
-        return SymbolFunction({-n: c.conj() for n, c in self.coeffs.items()})
 
     @property
     def bandwidth(self) -> int:
         return max((abs(n) for n in self.coeffs), default=0)
 
-    def coefficient(self, n: int) -> CScalar:
-        return self.coeffs.get(n, CScalar.zero())
+    def coefficient(self, n: int) -> complex:
+        return self.coeffs.get(n, 0j)
 
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1
@@ -87,7 +69,7 @@ class SymbolFunction:
         theta = 2 * np.pi * np.arange(count) / count
         values = np.zeros(count, dtype=complex)
         for n, c in self.coeffs.items():
-            values += complex(c) * np.exp(1j * n * theta)
+            values += c * np.exp(1j * n * theta)
         return values
 
     def margin(self, samples: int = 4096) -> float:
@@ -98,7 +80,7 @@ class SymbolFunction:
         if not self.coeffs:
             return 0.0
         values = np.abs(self.sample(samples))
-        slack = sum(abs(n) * abs(complex(c)) for n, c in self.coeffs.items())
+        slack = sum(abs(n) * abs(c) for n, c in self.coeffs.items())
         return float(values.min() - slack * np.pi / samples)
 
     def is_elliptic(self) -> bool:
@@ -114,45 +96,19 @@ class SymbolFunction:
             raise ValueError("winding number needs an elliptic symbol")
         lo = min(self.coeffs)
         hi = max(self.coeffs)
-        poly = [complex(self.coefficient(n)) for n in range(hi, lo - 1, -1)]
+        poly = [self.coefficient(n) for n in range(hi, lo - 1, -1)]
         roots = np.roots(poly)
         inside = int(np.sum(np.abs(roots) < 1.0))
         return inside + lo
 
 
-class ToeplitzMatrix:
-    """Exact banded compression P M_f P on modes 0..N."""
-
-    def __init__(self, symbol: SymbolFunction, N: int):
-        if N < symbol.bandwidth:
-            raise ValueError(
-                f"truncation N={N} is below the symbol bandwidth {symbol.bandwidth}"
-            )
-        self.symbol = symbol
-        self.N = N
-
-    @property
-    def size(self) -> int:
-        return self.N + 1
-
-    def entry(self, j: int, k: int) -> CScalar:
-        return self.symbol.coefficient(j - k)
-
-    def adjoint(self) -> "ToeplitzMatrix":
-        return ToeplitzMatrix(self.symbol.conj(), self.N)
-
-    def to_numpy(self, size: int | None = None) -> np.ndarray:
-        n = self.size if size is None else size
-        out = np.zeros((n, n), dtype=complex)
-        for band, c in self.symbol.coeffs.items():
-            value = complex(c)
-            idx = np.arange(max(0, band), min(n, n + band))
-            out[idx, idx - band] = value
-        return out
-
-
-def toeplitz_matrix(f: SymbolFunction, N: int) -> ToeplitzMatrix:
-    return ToeplitzMatrix(f, N)
+def toeplitz(f: SymbolFunction, size: int) -> np.ndarray:
+    """The banded compression P M_f P on modes 0..size-1."""
+    out = np.zeros((size, size), dtype=complex)
+    for band, c in f.coeffs.items():
+        idx = np.arange(max(0, band), min(size, size + band))
+        out[idx, idx - band] = c
+    return out
 
 
 @dataclass(frozen=True)
@@ -165,46 +121,36 @@ class ParametrixResult:
 def invert_symbol(f: SymbolFunction, M: int) -> ParametrixResult:
     """Order-M Fourier truncation of 1/f with a reported error bound.
 
-    Monomials invert exactly; dominant-constant symbols use the exact
-    rational Neumann recursion with a geometric tail bound; everything else
-    falls back to dense-grid quadrature with an empirical decay bound.
+    Monomials invert directly; dominant-constant symbols use the Neumann
+    recursion with a geometric tail bound; everything else falls back to
+    dense-grid quadrature with an empirical decay bound.
     """
     if not f.coeffs:
         raise ValueError("cannot invert the zero symbol")
     if f.is_monomial():
         ((n, c),) = f.coeffs.items()
-        return ParametrixResult(
-            SymbolFunction({-n: _cdiv(_cs(1), c)}), 0.0, "exact-monomial"
-        )
+        return ParametrixResult(SymbolFunction({-n: 1 / c}), 0.0, "exact-monomial")
     c0 = f.coefficient(0)
-    rest_mass = sum(
-        abs(complex(c)) for n, c in f.coeffs.items() if n != 0
-    )
-    if abs(complex(c0)) > rest_mass and not c0.is_zero():
+    rest_mass = sum(abs(c) for n, c in f.coeffs.items() if n != 0)
+    if abs(c0) > rest_mass:
         # Neumann series sum (-1)^k (f - c0)^k / c0^{k+1}, clipped to [-M, M]
         rest = SymbolFunction({n: c for n, c in f.coeffs.items() if n != 0})
-        ratio = rest_mass / abs(complex(c0))
-        inv_c0 = _cdiv(_cs(1), c0)
-        term = SymbolFunction({0: inv_c0})
+        ratio = rest_mass / abs(c0)
+        term = SymbolFunction({0: 1 / c0})
         total = term
         clipped = 0.0
         k = 0
         while True:
             k += 1
             term = term * rest
-            term = SymbolFunction(
-                {n: -_cdiv(c, c0) for n, c in term.coeffs.items()}
-            )
+            term = SymbolFunction({n: -c / c0 for n, c in term.coeffs.items()})
             kept = {n: c for n, c in term.coeffs.items() if abs(n) <= M}
-            clipped += sum(
-                abs(complex(c)) for n, c in term.coeffs.items() if abs(n) > M
-            )
-            term = SymbolFunction(term.coeffs)
+            clipped += sum(abs(c) for n, c in term.coeffs.items() if abs(n) > M)
             total = total + SymbolFunction(kept)
-            tail = ratio**k / (abs(complex(c0)) * (1 - ratio))
+            tail = ratio**k / (abs(c0) * (1 - ratio))
             if tail < 1e-30 or k > 400:
                 break
-        return ParametrixResult(total, tail + clipped, "neumann-exact")
+        return ParametrixResult(total, tail + clipped, "neumann")
     # quadrature fallback (FFT-free by design)
     B = f.bandwidth
     L = max(1024, 8 * (M + B))
@@ -213,10 +159,7 @@ def invert_symbol(f: SymbolFunction, M: int) -> ParametrixResult:
     ns = np.arange(-M, M + 1)
     phases = np.exp(-1j * np.outer(ns, theta))
     ghat = phases @ inv_values / L
-    coeffs = {}
-    for n, value in zip(ns, ghat):
-        if abs(value) > 1e-15:
-            coeffs[int(n)] = _cs(Fraction(float(value.real)), Fraction(float(value.imag)))
+    coeffs = {int(n): value for n, value in zip(ns, ghat) if abs(value) > 1e-15}
     edge = np.abs(ghat[np.abs(ns) >= max(1, M - 2)]).max() if M >= 1 else 0.0
     mid = np.abs(ghat[np.abs(ns) >= max(1, M // 2)]).max()
     ratio = min(0.99, (edge / mid) ** (1.0 / max(1, M - M // 2))) if mid > 0 else 0.0
@@ -244,10 +187,9 @@ def hardy_index(f: SymbolFunction, N: int, M: int) -> HardyIndexResult:
         raise ValueError("hardy_index needs an elliptic symbol (margin > 0)")
     par = invert_symbol(f, M)
     g = par.symbol
-    pad = max(f.bandwidth, g.bandwidth)
-    total = N + 1 + pad
-    tf = ToeplitzMatrix(f, total - 1).to_numpy()
-    tg = ToeplitzMatrix(g, total - 1).to_numpy()
+    size = N + 1 + max(f.bandwidth, g.bandwidth)
+    tf = toeplitz(f, size)
+    tg = toeplitz(g, size)
     fg = (tf @ tg)[: N + 1, : N + 1]
     gf = (tg @ tf)[: N + 1, : N + 1]
     value = float(np.real(np.trace(fg) - np.trace(gf)))

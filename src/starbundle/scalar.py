@@ -27,7 +27,10 @@ class Scalar:
         clean: dict[int, Fraction] = {}
         if terms:
             for m, q in terms.items():
-                q = Fraction(q)
+                if not isinstance(q, (int, Fraction)):
+                    raise TypeError(
+                        f"Scalar coefficients must be int or Fraction, not {type(q).__name__}"
+                    )
                 if q != 0:
                     clean[int(m)] = clean.get(int(m), Fraction(0)) + q
         self._terms = {m: q for m, q in clean.items() if q != 0}
@@ -44,11 +47,11 @@ class Scalar:
 
     @staticmethod
     def rational(q: RationalLike) -> "Scalar":
-        return Scalar({0: Fraction(q)})
+        return Scalar({0: q})
 
     @staticmethod
     def pi(power: int = 1, coeff: RationalLike = 1) -> "Scalar":
-        return Scalar({power: Fraction(coeff)})
+        return Scalar({power: coeff})
 
     @staticmethod
     def coerce(x: ScalarLike) -> "Scalar":
@@ -150,9 +153,6 @@ class Scalar:
                 base = base * base
         return result
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def inverse(self) -> "Scalar":
         """Exact inverse; defined only for monomials q*pi**m."""
         if len(self._terms) != 1:
@@ -166,12 +166,6 @@ class Scalar:
         return self * Scalar.coerce(other).inverse()
 
     # -- comparison / hashing ------------------------------------------
-
-    def __getstate__(self):
-        return self._terms
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "_terms", state)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -259,13 +253,6 @@ class CScalar:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CScalar is immutable")
-
-    def __getstate__(self):
-        return (self.re, self.im)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "re", state[0])
-        object.__setattr__(self, "im", state[1])
 
     @staticmethod
     def zero() -> "CScalar":
@@ -364,5 +351,5 @@ def _cscalar(re: Scalar, im: Scalar) -> CScalar:
 
 
 def _cs(re, im=0) -> CScalar:
-    """CScalar with rational parts, from anything ``Fraction`` accepts."""
-    return CScalar(Scalar.rational(Fraction(re)), Scalar.rational(Fraction(im)))
+    """CScalar with rational parts, from ``int`` or ``Fraction`` values."""
+    return CScalar(Scalar.rational(re), Scalar.rational(im))

@@ -27,13 +27,6 @@ class FormalSeries:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FormalSeries is immutable")
 
-    def __getstate__(self):
-        return (self.space, self.coeffs)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "space", state[0])
-        object.__setattr__(self, "coeffs", state[1])
-
     # -- constructors -----------------------------------------------------
 
     @staticmethod
@@ -61,11 +54,6 @@ class FormalSeries:
         if not 0 <= k <= self.K:
             raise IndexError(f"order {k} outside truncation {self.K}")
         return self.coeffs[k]
-
-    def truncate(self, K: int) -> "FormalSeries":
-        if K >= self.K:
-            return self
-        return FormalSeries(self.space, self.coeffs[: K + 1])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

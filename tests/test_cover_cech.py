@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from starbundle.cech import CechError, constant_two_form, solve_cech
+from starbundle.cech import CechConnectionData, CechError, constant_two_form, solve_cech
 from starbundle.chartfn import ChartFunction
 from starbundle.cover import GoodCover, Rect
 from starbundle.forms import DifferentialForm
@@ -126,3 +126,18 @@ def test_cech_data_is_immutable():
         data.alphas[0] = data.alphas[1]
     with pytest.raises(TypeError):
         data.triple_constants[data.cover.triples[0]] = Scalar.zero()
+
+
+def test_overlap_failures_name_the_broken_chart():
+    data = solve_cech(constant_two_form(T2, Scalar.pi(1, 2)), GoodCover.grid(T2, 3))
+    assert data.overlap_failures(data.alphas) == []
+    # alpha_0 + dy still has curl omega, but breaks alpha_i - alpha_j = d phi_ij
+    alphas = dict(data.alphas)
+    alphas[0] = alphas[0] + DifferentialForm.basis(T2, "dy")
+    broken = {pair for pair in data.transitions if 0 in pair}
+    assert set(data.overlap_failures(alphas)) == broken
+    report = CechConnectionData(
+        data.cover, data.omega, alphas, data.transitions, data.triple_constants
+    ).verify()
+    assert report.curl_ok and report.antisymmetry_ok and report.triple_ok
+    assert not report.overlap_ok and len(report.failures) == len(broken)

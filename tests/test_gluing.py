@@ -9,6 +9,7 @@ from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
 from starbundle.gluing import (
     FormalQuotientWeight,
+    GluedConnection,
     GluingError,
     PartitionOfUnity,
     check_product_additivity,
@@ -109,6 +110,12 @@ def test_default_gluing_collapses_to_cech_primitives():
         assert beta == bundle.data.alphas[i]
     assert conn.consistency_report().passed
     assert conn.multiplicativity_report()["passed"]
+    # a glued form shifted by dy breaks every overlap of its chart
+    left = dict(conn.left_forms)
+    left[0] = left[0] + DifferentialForm.basis(T2, "dy")
+    report = GluedConnection(bundle, part, conn.initial, left).consistency_report()
+    assert report.pairs_checked == len(bundle.data.transitions)
+    assert len(report.failures) == sum(1 for pair in bundle.data.transitions if 0 in pair)
 
 
 @pytest.mark.parametrize(

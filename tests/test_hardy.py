@@ -12,7 +12,7 @@ Z = SymbolFunction.mode(1)
     [
         (Z, "exact-monomial", 1),
         (SymbolFunction.mode(-2), "exact-monomial", -2),
-        (SymbolFunction.constant(2) + Z, "neumann-exact", 0),
+        (SymbolFunction.constant(2) + Z, "neumann", 0),
         (SymbolFunction.constant(1) + SymbolFunction.mode(1, 3), "quadrature", 1),
         (SymbolFunction.constant(Fraction(1, 2)) + Z, "quadrature", 1),
     ],

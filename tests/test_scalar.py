@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from starbundle.scalar import CScalar, Scalar, parse_scalar
+from starbundle.scalar import CScalar, Scalar, _cs, parse_scalar
 
 from conftest import random_scalar
 
@@ -12,6 +12,24 @@ def test_canonical_form_drops_zeros():
     s = Scalar({0: Fraction(1, 2), 1: 0})
     assert s.terms == {0: Fraction(1, 2)}
     assert Scalar({2: Fraction(0)}).is_zero()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Scalar({0: 0.1}),
+        lambda: Scalar.rational(0.1),
+        lambda: Scalar.pi(1, 0.1),
+        lambda: _cs(0.1, 2),
+        lambda: _cs(1, 0.1),
+        lambda: CScalar(0.5),
+    ],
+    ids=["Scalar", "rational", "pi", "_cs-re", "_cs-im", "CScalar"],
+)
+def test_float_coefficients_rejected(make):
+    # a float would be stored as its binary expansion, not as the number meant
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_ring_axioms_randomized():

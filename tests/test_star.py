@@ -83,6 +83,19 @@ def test_poisson_dimension_mismatch():
         poisson_bracket(ChartFunction.variable(R4, "x1"), Y, P2)
 
 
+@pytest.mark.parametrize("space", [R2, R4], ids=["R2", "R4"])
+@pytest.mark.parametrize("scale", [1, Fraction(-1, 3), Scalar.pi()], ids=["1", "-1/3", "pi"])
+def test_symplectic_form_inverts_bivector(space, scale):
+    # omega = Pi^{-1} is the symplectic form the star product quantizes
+    structure = PoissonStructure.standard(space, scale)
+    bivector, omega = structure.matrix, structure.symplectic_form()
+    n = space.dim
+    for i in range(n):
+        for j in range(n):
+            entry = sum((bivector[i][k] * omega[k][j] for k in range(n)), Scalar.zero())
+            assert entry == (1 if i == j else 0)
+
+
 def test_star_unit_law(rng):
     one = ChartFunction.one(R2)
     for _ in range(5):
