@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence, Union
 
-from .scalar import CScalar, Scalar, _cscalar, _scalar
+from .scalar import CScalar, Scalar, _new
 
 CoeffLike = Union[CScalar, Scalar, int, Fraction]
 
@@ -81,10 +81,10 @@ class ChartSpace:
 
 
 _QUARTER_PHASES = {
-    Fraction(0): CScalar.one(),
-    Fraction(1, 4): CScalar.i(),
-    Fraction(1, 2): -CScalar.one(),
-    Fraction(3, 4): -CScalar.i(),
+    Fraction(0): _new(CScalar, 1, {0: (1, 0)}),
+    Fraction(1, 4): _new(CScalar, 1, {0: (0, 1)}),
+    Fraction(1, 2): _new(CScalar, 1, {0: (-1, 0)}),
+    Fraction(3, 4): _new(CScalar, 1, {0: (0, -1)}),
 }
 
 
@@ -102,7 +102,7 @@ def _quarter_phase(q: Fraction) -> CScalar:
 
 def _rational(q: Fraction) -> CScalar:
     """The real CScalar q, for a nonzero Fraction q, built trusted."""
-    return _cscalar(_scalar({0: q}), _scalar({}))
+    return _new(CScalar, q.denominator, {0: (q.numerator, 0)})
 
 
 def _chartfn(space: ChartSpace, terms: dict) -> "ChartFunction":
@@ -355,10 +355,9 @@ class ChartFunction:
             if mon[i] > 0:
                 dm = list(mon)
                 dm[i] -= 1
-                add((tuple(dm), freq), c * _rational(Fraction(mon[i])))
+                add((tuple(dm), freq), c * _new(CScalar, 1, {0: (mon[i], 0)}))
             if freq[i] != 0:
-                two_pi_k = _scalar({1: Fraction(2 * freq[i])})
-                add((mon, freq), c * _cscalar(_scalar({}), two_pi_k))
+                add((mon, freq), c * _new(CScalar, 1, {1: (0, 2 * freq[i])}))
         return _chartfn(self.space, out)
 
     def torus_mean(self) -> CScalar:

@@ -1,15 +1,22 @@
-"""Exact scalars: Laurent polynomials in pi over the rationals.
+"""Exact scalars: Laurent polynomials in pi over the Gaussian rationals.
 
-Every number produced by the toolkit is a finite sum ``sum_m q_m * pi**m``
-with rational ``q_m`` and integer ``m``.  Because pi is transcendental, two
-such sums are equal as real numbers iff they are structurally equal, so all
-equality tests (including membership in ``2*pi*Z``, which decides phase
-identities) are exact.
+A value ``sum_m (a_m + b_m*i)/d * pi**m`` is stored as one integer
+denominator ``d`` and a dict ``{m: (a_m, b_m)}`` of integer numerator pairs.
+It is kept canonical: ``d > 0``, gcd(d, every numerator) = 1, no entry is
+``(0, 0)``, and zero is ``{}`` over 1.  So each value has exactly one stored
+form, and because pi is transcendental, two such sums are equal as complex
+numbers iff their forms are structurally equal: all equality tests
+(including membership in ``2*pi*Z``, which decides phase identities) are
+exact.  :class:`Scalar` is the real subset (every ``b_m`` is 0),
+:class:`CScalar` the whole ring; one kernel (``_add``, ``_mul``,
+``_reduce``) computes both, and ``CScalar.coerce`` of a Scalar shares its
+dict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Union
 import math
 import re
@@ -18,22 +25,130 @@ RationalLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction]
 
 
-class Scalar:
-    """Immutable Laurent polynomial in pi with Fraction coefficients."""
+# -- kernel: canonical operands of one class in, a canonical value of that
+# class out; no dict is mutated once built, so values may share them.
 
-    __slots__ = ("_terms",)
+
+def _new(cls, den: int, num: dict):
+    """Trusted constructor: ``num`` over ``den`` is canonical and owned."""
+    x = object.__new__(cls)
+    x._den = den
+    x._num = num
+    return x
+
+
+def _reduce(cls, den: int, num: dict):
+    """Drop the zero entries of ``num`` over ``den > 0``; divide out the gcd."""
+    if (0, 0) in num.values():
+        num = {m: p for m, p in num.items() if p != (0, 0)}
+    if den != 1:
+        g = den
+        for a, b in num.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        else:  # zero leaves g == den, so it comes out as {} over 1
+            den //= g
+            num = {m: (a // g, b // g) for m, (a, b) in num.items()}
+    return _new(cls, den, num)
+
+
+def _add(x, y):
+    if not y._num:
+        return x
+    if not x._num:
+        return y
+    d1, d2 = x._den, y._den
+    if d1 == d2:
+        out, s2 = dict(x._num), 1
+    else:
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        out = {m: (a * s1, b * s1) for m, (a, b) in x._num.items()}
+        d1 *= s1
+    for m, (c, d) in y._num.items():
+        p = out.get(m)
+        out[m] = (c * s2, d * s2) if p is None else (p[0] + c * s2, p[1] + d * s2)
+    return _reduce(type(x), d1, out)
+
+
+def _mul(x, y):
+    out: dict[int, tuple[int, int]] = {}
+    for m1, (a, b) in x._num.items():
+        for m2, (c, d) in y._num.items():
+            m = m1 + m2
+            p = out.get(m)
+            if b:  # a real a needs two products, not four
+                re_, im_ = a * c - b * d, a * d + b * c
+            else:
+                re_, im_ = a * c, a * d
+            out[m] = (re_, im_) if p is None else (p[0] + re_, p[1] + im_)
+    return _reduce(type(x), x._den * y._den, out)
+
+
+class _Exact:
+    """Storage and ring operators shared by Scalar and CScalar; each
+    operator coerces its other operand with the class's own ``coerce``."""
+
+    __slots__ = ("_den", "_num")
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            other = self.coerce(other)
+        return _add(self, other)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            other = self.coerce(other)
+        return _mul(self, other)
+
+    def __neg__(self):
+        return _new(type(self), self._den, {m: (-a, -b) for m, (a, b) in self._num.items()})
+
+    def __sub__(self, other):
+        return self + (-self.coerce(other))
+
+    def __rsub__(self, other):
+        return self.coerce(other) + (-self)
+
+    def __eq__(self, other: object) -> bool:
+        try:
+            other = self.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        # equal values hash alike across Scalar, CScalar, int and Fraction
+        if self._num.keys() <= {0}:
+            a, b = self._num.get(0, (0, 0))
+            if not b:
+                return hash(Fraction(a, self._den))
+        return hash((self._den, frozenset(self._num.items())))
+
+
+class Scalar(_Exact):
+    """Immutable real Laurent polynomial in pi with rational coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[int, RationalLike] | None = None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for m, q in terms.items():
-                if not isinstance(q, (int, Fraction)):
-                    raise TypeError(
-                        f"Scalar coefficients must be int or Fraction, not {type(q).__name__}"
-                    )
-                if q != 0:
-                    clean[int(m)] = clean.get(int(m), Fraction(0)) + q
-        self._terms = {m: q for m, q in clean.items() if q != 0}
+        total = _new(Scalar, 1, {})
+        for m, q in (terms or {}).items():
+            if not isinstance(q, (int, Fraction)):
+                raise TypeError(
+                    f"Scalar coefficients must be int or Fraction, not {type(q).__name__}"
+                )
+            total = _add(total, _reduce(Scalar, q.denominator, {int(m): (q.numerator, 0)}))
+        self._den, self._num = total._den, total._num
+
+    # the operators are class attributes of their own, so that the calls of
+    # each class can be told apart when the layers are traced
+    __add__ = __radd__ = _Exact.__add__
+    __mul__ = __rmul__ = _Exact.__mul__
 
     # -- constructors -------------------------------------------------
 
@@ -58,92 +173,41 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return Scalar.rational(x)
+            return _reduce(Scalar, x.denominator, {0: (x.numerator, 0)})
         raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
     # -- structure ----------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return {m: Fraction(a, self._den) for m, (a, _) in self._num.items()}
 
     def is_rational(self) -> bool:
         """True when no pi power appears (pure rational number)."""
-        return set(self._terms) <= {0}
+        return self._num.keys() <= {0}
 
     def is_integer(self) -> bool:
-        if not self._terms:
-            return True
-        return self.is_rational() and self._terms[0].denominator == 1
+        return self._den == 1 and self.is_rational()
 
     def is_two_pi_integer(self) -> bool:
         """Exact membership in 2*pi*Z (0 counts)."""
-        if not self._terms:
+        if not self._num:
             return True
-        if set(self._terms) != {1}:
-            return False
-        q = self._terms[1] / 2
-        return q.denominator == 1
+        return self._num.keys() == {1} and self._den == 1 and self._num[1][0] % 2 == 0
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self}")
-        return self._terms.get(0, Fraction(0))
+        return Fraction(self._num.get(0, (0, 0))[0], self._den)
 
     # -- ring operations ----------------------------------------------
-    # Results are built with the trusted ``_scalar``: the inputs are already
-    # canonical, and each operation drops the zeros that cancellation makes.
-
-    def __add__(self, other: ScalarLike) -> "Scalar":
-        if type(other) is not Scalar:
-            other = Scalar.coerce(other)
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        out = dict(self._terms)
-        for m, q in other._terms.items():
-            acc = out.get(m)
-            out[m] = q if acc is None else acc + q
-        return _scalar({m: q for m, q in out.items() if q})
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Scalar":
-        return _scalar({m: -q for m, q in self._terms.items()})
-
-    def __sub__(self, other: ScalarLike) -> "Scalar":
-        return self + (-Scalar.coerce(other))
-
-    def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return Scalar.coerce(other) + (-self)
-
-    def __mul__(self, other: ScalarLike) -> "Scalar":
-        if type(other) is not Scalar:
-            other = Scalar.coerce(other)
-        if not self._terms:
-            return self
-        if not other._terms:
-            return other
-        out: dict[int, Fraction] = {}
-        for m1, q1 in self._terms.items():
-            for m2, q2 in other._terms.items():
-                m = m1 + m2
-                acc = out.get(m)
-                out[m] = q1 * q2 if acc is None else acc + q1 * q2
-        return _scalar({m: q for m, q in out.items() if q})
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
             raise TypeError("Scalar power must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = _scalar({0: Fraction(1)})
+        result = _new(Scalar, 1, {0: (1, 0)})
         base = self
         while n:
             if n & 1:
@@ -155,42 +219,28 @@ class Scalar:
 
     def inverse(self) -> "Scalar":
         """Exact inverse; defined only for monomials q*pi**m."""
-        if len(self._terms) != 1:
+        if len(self._num) != 1:
             raise ZeroDivisionError(
                 f"scalar {self} has no exact inverse in the Laurent-pi ring"
             )
-        ((m, q),) = self._terms.items()
-        return _scalar({-m: 1 / q})
+        ((m, (a, _)),) = self._num.items()
+        return _new(Scalar, abs(a), {-m: (self._den if a > 0 else -self._den, 0)})
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
         return self * Scalar.coerce(other).inverse()
 
-    # -- comparison / hashing ------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        # a rational Scalar equals its Fraction (0 when zero), so hash as it
-        if self.is_rational():
-            return hash(self._terms.get(0, Fraction(0)))
-        return hash(frozenset(self._terms.items()))
-
     # -- rendering ------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(sum(float(q) * math.pi**m for m, q in self._terms.items()))
+        return float(sum(float(q) * math.pi**m for m, q in self.terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for m in sorted(self._terms, reverse=True):
-            q = self._terms[m]
+        for m in sorted(terms, reverse=True):
+            q = terms[m]
             if m == 0:
                 parts.append(str(q))
             else:
@@ -202,14 +252,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-
-def _scalar(terms: dict[int, Fraction]) -> Scalar:
-    """Trusted constructor: ``terms`` is a fresh dict of int -> nonzero
-    ``Fraction`` that the new Scalar owns.  No validation."""
-    s = object.__new__(Scalar)
-    s._terms = terms
-    return s
 
 
 _TERM_RE = re.compile(
@@ -242,17 +284,17 @@ def parse_scalar(text: str) -> Scalar:
     return total
 
 
-class CScalar:
-    """Complex number with exact Scalar real and imaginary parts."""
+class CScalar(_Exact):
+    """Immutable complex Laurent polynomial in pi over the Gaussian rationals."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ()
 
     def __init__(self, re: ScalarLike = 0, im: ScalarLike = 0):
-        object.__setattr__(self, "re", Scalar.coerce(re))
-        object.__setattr__(self, "im", Scalar.coerce(im))
+        z = CScalar.coerce(Scalar.coerce(re)) + CScalar.coerce(Scalar.coerce(im)).times_i()
+        self._den, self._num = z._den, z._num
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("CScalar is immutable")
+    __add__ = __radd__ = _Exact.__add__
+    __mul__ = __rmul__ = _Exact.__mul__
 
     @staticmethod
     def zero() -> "CScalar":
@@ -271,68 +313,32 @@ class CScalar:
         if isinstance(x, CScalar):
             return x
         if isinstance(x, (Scalar, int, Fraction)):
-            return _cscalar(Scalar.coerce(x), _scalar({}))
+            x = Scalar.coerce(x)
+            return _new(CScalar, x._den, x._num)
         raise TypeError(f"cannot coerce {type(x).__name__} to CScalar")
 
-    def is_zero(self) -> bool:
-        return not (self.re._terms or self.im._terms)
+    @property
+    def re(self) -> Scalar:
+        return _reduce(Scalar, self._den, {m: (a, 0) for m, (a, _) in self._num.items()})
+
+    @property
+    def im(self) -> Scalar:
+        return _reduce(Scalar, self._den, {m: (b, 0) for m, (_, b) in self._num.items()})
 
     def is_real(self) -> bool:
-        return self.im.is_zero()
+        return not any(b for _, b in self._num.values())
 
     def conj(self) -> "CScalar":
-        return _cscalar(self.re, -self.im)
+        return _new(CScalar, self._den, {m: (a, -b) for m, (a, b) in self._num.items()})
 
     def times_i(self) -> "CScalar":
-        return _cscalar(-self.im, self.re)
-
-    def __add__(self, other) -> "CScalar":
-        if type(other) is not CScalar:
-            other = CScalar.coerce(other)
-        return _cscalar(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CScalar":
-        return _cscalar(-self.re, -self.im)
-
-    def __sub__(self, other) -> "CScalar":
-        return self + (-CScalar.coerce(other))
-
-    def __rsub__(self, other) -> "CScalar":
-        return CScalar.coerce(other) + (-self)
-
-    def __mul__(self, other) -> "CScalar":
-        if type(other) is not CScalar:
-            other = CScalar.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        # a real factor needs two Scalar products, not four and two sums
-        if not d._terms:
-            return _cscalar(a * c, b * c)
-        if not b._terms:
-            return _cscalar(a * c, a * d)
-        return _cscalar(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Scalar, int, Fraction)):
-            other = CScalar.coerce(other)
-        if not isinstance(other, CScalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        # a real CScalar equals its real part, so hash as it
-        if self.im.is_zero():
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return _new(CScalar, self._den, {m: (-b, a) for m, (a, b) in self._num.items()})
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
-        if self.im.is_zero():
+        if self.is_real():
             return str(self.re)
         if self.re.is_zero():
             return f"({self.im})*i"
@@ -340,14 +346,6 @@ class CScalar:
 
     def __repr__(self) -> str:
         return f"CScalar({self})"
-
-
-def _cscalar(re: Scalar, im: Scalar) -> CScalar:
-    """Trusted constructor from two Scalars.  No coercion."""
-    z = object.__new__(CScalar)
-    object.__setattr__(z, "re", re)
-    object.__setattr__(z, "im", im)
-    return z
 
 
 def _cs(re, im=0) -> CScalar:

@@ -13,13 +13,12 @@ which the toolkit verifies by exact expansion rather than assuming.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .chartfn import ChartFunction
 from .poisson import PoissonStructure
-from .scalar import Scalar, _scalar
+from .scalar import Scalar, _new
 from .series import FormalSeries
 
 StarInput = ChartFunction | FormalSeries
@@ -92,7 +91,7 @@ class PureStarProduct:
             db = _derive_multi(b, tuple(order_b), cache_b)
             if db.is_zero():
                 continue
-            coeff = weight if run == 1 else weight * _scalar({0: Fraction(1, run)})
+            coeff = weight if run == 1 else weight * _new(Scalar, run, {0: (1, 0)})
             total = total + (da * db).scale(coeff)
         return total
 
