@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Mapping, Sequence, Union
 
 from .scalar import CScalar, Scalar, _new
@@ -309,10 +310,7 @@ class ChartFunction:
         out: dict[tuple[tuple[int, ...], tuple[int, ...]], CScalar] = {}
         for (m1, f1), c1 in self._terms.items():
             for (m2, f2), c2 in other._terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(m1, m2)),
-                    tuple(a + b for a, b in zip(f1, f2)),
-                )
+                key = (tuple(map(add, m1, m2)), tuple(map(add, f1, f2)))
                 c = c1 * c2
                 acc = out.get(key)
                 out[key] = c if acc is None else acc + c
@@ -347,7 +345,7 @@ class ChartFunction:
         i = self.space.index(name)
         out: dict[tuple[tuple[int, ...], tuple[int, ...]], CScalar] = {}
 
-        def add(key, c):
+        def put(key, c):
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
 
@@ -355,9 +353,9 @@ class ChartFunction:
             if mon[i] > 0:
                 dm = list(mon)
                 dm[i] -= 1
-                add((tuple(dm), freq), c * _new(CScalar, 1, {0: (mon[i], 0)}))
+                put((tuple(dm), freq), c * _new(CScalar, 1, {0: (mon[i], 0)}))
             if freq[i] != 0:
-                add((mon, freq), c * _new(CScalar, 1, {1: (0, 2 * freq[i])}))
+                put((mon, freq), c * _new(CScalar, 1, {1: (0, 2 * freq[i])}))
         return _chartfn(self.space, out)
 
     def torus_mean(self) -> CScalar:

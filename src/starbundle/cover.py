@@ -47,8 +47,9 @@ class Rect:
     def intersect(self, other: "Rect") -> "Rect | None":
         centers, widths = [], []
         for ax in range(self.dim):
-            lo = max(self.bounds(ax)[0], other.bounds(ax)[0])
-            hi = min(self.bounds(ax)[1], other.bounds(ax)[1])
+            lo1, hi1 = self.bounds(ax)
+            lo2, hi2 = other.bounds(ax)
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
             if lo >= hi:
                 return None
             centers.append((lo + hi) / 2)
@@ -84,6 +85,7 @@ class GoodCover:
                 raise ValueError("chart halfwidths must stay below 1/2")
         self._check_coverage()
         self._pair_lifts: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._triple_rects: dict[tuple[int, int, int], Rect] = {}
         self._build_nerve()
 
     # -- constructors ------------------------------------------------------
@@ -164,6 +166,7 @@ class GoodCover:
             njk = self._pair_lifts[(j, k)]
             if tuple(a - b for a, b in zip(mk, mj)) != njk:
                 raise AssertionError("triple lift inconsistent with pair lifts")
+            self._triple_rects[(i, j, k)] = rect
             triples.append((i, j, k))
         self.triples = tuple(triples)
 
@@ -195,6 +198,11 @@ class GoodCover:
         return rect
 
     def triple_rect(self, i: int, j: int, k: int) -> Rect | None:
+        """Triple overlap in chart i's frame; a nerve triple's is kept from
+        ``_build_nerve``."""
+        kept = self._triple_rects.get((i, j, k))
+        if kept is not None:
+            return kept
         mj = self.pair_lift(i, j)
         mk = self.pair_lift(i, k)
         rect = self.charts[i].intersect(self.charts[j].translated(mj))

@@ -207,6 +207,9 @@ class Scalar(_Exact):
             raise TypeError("Scalar power must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
+        if len(self._num) == 1:  # q*pi**j; q in lowest terms stays so
+            ((j, (a, _)),) = self._num.items()
+            return _new(Scalar, self._den**n, {j * n: (a**n, 0)})
         result = _new(Scalar, 1, {0: (1, 0)})
         base = self
         while n:

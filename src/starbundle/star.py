@@ -8,20 +8,33 @@ derivatives:
 so B_0 is the pointwise product and B_1 is the Poisson bracket.  For a
 constant bivector this product is associative at every truncation order,
 which the toolkit verifies by exact expansion rather than assuming.
+
+On Fourier modes e_k = exp(2*pi*i*k.u) every derivative is a multiplication
+by 2*pi*i*k_i, so the operator has the closed form
+
+    B_m(e_k, e_l) = (-4*pi^2 * k.Pi.l)^m / m! * e_{k+l}.
+
+``PureStarProduct.bidiff`` uses it whenever both arguments are pure Fourier
+sums; any monomial factor sends B_m through iterated derivatives, the
+general path.  Both give the same exact result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from math import factorial
+from operator import add
 from typing import Sequence
 
-from .chartfn import ChartFunction
+from .chartfn import ChartFunction, _chartfn
 from .poisson import PoissonStructure
-from .scalar import Scalar, _new
+from .scalar import CScalar, Scalar, _new
 from .series import FormalSeries
 
 StarInput = ChartFunction | FormalSeries
+
+_MINUS_FOUR_PI2 = _new(Scalar, 1, {2: (-4, 0)})
 
 
 def _derive_multi(f: ChartFunction, order: tuple[int, ...], cache: dict) -> ChartFunction:
@@ -56,11 +69,22 @@ class PureStarProduct:
         return a
 
     def bidiff(self, m: int, a: ChartFunction, b: ChartFunction) -> ChartFunction:
-        """The order-m bidifferential operator applied to (a, b)."""
+        """The order-m bidifferential operator applied to (a, b).
+
+        On two pure Fourier sums B_m is taken in closed form
+        (``_fourier_bidiff``); otherwise as m-fold contracted derivatives
+        (``_derivative_bidiff``).  Both give the same exact result.
+        """
         if a.space != self.space or b.space != self.space:
             raise ValueError("star-product inputs live on the wrong chart")
         if m == 0:
             return a * b
+        if a.is_trig() and b.is_trig():
+            return self._fourier_bidiff(m, a, b)
+        return self._derivative_bidiff(m, a, b)
+
+    def _derivative_bidiff(self, m: int, a: ChartFunction, b: ChartFunction) -> ChartFunction:
+        """B_m(a, b) for m >= 1 from iterated derivatives; any inputs."""
         if a.is_zero() or b.is_zero():
             return ChartFunction.zero(self.space)
         n = self.space.dim
@@ -95,8 +119,47 @@ class PureStarProduct:
             total = total + (da * db).scale(coeff)
         return total
 
+    def _fourier_bidiff(self, m: int, a: ChartFunction, b: ChartFunction) -> ChartFunction:
+        """B_m(a, b) for m >= 1 and pure Fourier sums a, b, in closed form.
+
+        The term pairs are grouped by k+l and by the integers that make up
+        s = k.Pi.l, so each group sums a_k b_l once and is then scaled by
+        w^m/m!, w = -4*pi^2*s.  A pair with s = 0 contributes nothing.
+        """
+        # Pi is antisymmetric: s = sum over Pi^ij with i < j of Pi^ij (k_i l_j - k_j l_i)
+        upper = [(i, j, p) for i, j, p in self.poisson.nonzero_entries() if i < j]
+        base = _MINUS_FOUR_PI2**m * _new(Scalar, factorial(m), {0: (1, 0)})
+        weights: dict = {}  # (k_i l_j - k_j l_i for each i < j) -> w^m/m!, None for s = 0
+        groups: dict = {}  # (k+l, (k_i l_j - k_j l_i ...)) -> sum of a_k b_l
+        for (_, k), ak in a._terms.items():
+            for (_, q), bq in b._terms.items():
+                ns = tuple([k[i] * q[j] - k[j] * q[i] for i, j, _ in upper])
+                if ns in weights:
+                    w = weights[ns]
+                else:
+                    s = _new(Scalar, 1, {})
+                    for n, (_, _, p) in zip(ns, upper):
+                        if n:
+                            s = s + p * n
+                    w = weights[ns] = None if s.is_zero() else CScalar.coerce(base * s**m)
+                if w is None:
+                    continue
+                key = (tuple(map(add, k, q)), ns)
+                c = ak * bq
+                acc = groups.get(key)
+                groups[key] = c if acc is None else acc + c
+        zero = (0,) * self.space.dim
+        out: dict = {}
+        for (f, ns), c in groups.items():
+            key = (zero, f)
+            term = c * weights[ns]
+            acc = out.get(key)
+            out[key] = term if acc is None else acc + term
+        return _chartfn(self.space, out)
+
     def multiply(self, a: StarInput, b: StarInput, K: int | None = None) -> FormalSeries:
-        """a * b with c_k = sum_{j+l+m=k} B_m(a_j, b_l)."""
+        """a * b with c_k = sum_{j+l+m=k} B_m(a_j, b_l), each B_m from ``bidiff``
+        (in closed form when a_j and b_l are pure Fourier sums)."""
         sa = self._promote(a, K)
         sb = self._promote(b, K)
         if sa.space != self.space or sb.space != self.space:

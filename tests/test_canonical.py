@@ -5,7 +5,9 @@ empty term dict exactly for zero."""
 from fractions import Fraction
 
 from starbundle.chartfn import ChartFunction, ChartSpace
+from starbundle.poisson import PoissonStructure
 from starbundle.scalar import CScalar, Scalar
+from starbundle.star import PureStarProduct
 
 from conftest import random_cscalar, random_fraction, random_poly, random_scalar, random_trig
 
@@ -54,7 +56,7 @@ def test_scalar_operations_stay_canonical(rng):
             assert zero.is_zero()
         q = random_fraction(rng) or Fraction(1)
         mono = Scalar.pi(rng.randint(-2, 2), q)
-        for s in (mono.inverse(), mono**-2, a / mono):
+        for s in (mono.inverse(), mono**-2, mono**0, mono**5, a / mono):
             check_scalar(s)
     cancel = (x + 1) * (x - 1) - x * x + 1
     check_scalar(cancel)
@@ -77,6 +79,7 @@ def test_cscalar_operations_stay_canonical(rng):
 
 def test_chartfn_operations_stay_canonical(rng):
     x = ChartFunction.variable(R2, "x")
+    star = PureStarProduct(PoissonStructure.standard(T2, Scalar.pi()))
     for _ in range(25):
         for space, make in ((R2, random_poly), (T2, random_trig), (T2, random_poly)):
             f, g = make(space, rng), make(space, rng)
@@ -92,6 +95,8 @@ def test_chartfn_operations_stay_canonical(rng):
                 space.copies(2), space.copy_map(2)
             )
             results += [pair.identify("x_1", "x_2"), pair.identify("y_2", "y_1")]
+            if make is random_trig:
+                results += star.multiply(f, g, 3).coeffs
             for h in results:
                 check_chartfn(h)
             for zero in (f + (-f), f - f, f.scale(0), (f - f).derive("x")):
@@ -101,4 +106,12 @@ def test_chartfn_operations_stay_canonical(rng):
     assert cancel.is_zero()
     mode = ChartFunction.fourier(T2, {"x": 1}, CScalar.i())
     check_chartfn(mode * mode.conj() - 1 + mode.shift({"x": Fraction(1, 2)}) + mode)
+    # e_(1,0) e_(0,1) and -e_(2,1) e_(-1,0) share k + l = (1,1) and k.Pi.l = pi,
+    # so the star product has no (1,1) mode at any order
+    a = ChartFunction(T2, {((0, 0), (1, 0)): 1, ((0, 0), (2, 1)): 1})
+    b = ChartFunction(T2, {((0, 0), (0, 1)): 1, ((0, 0), (-1, 0)): -1})
+    for c in star.multiply(a, b, 4).coeffs:
+        check_chartfn(c)
+        assert ((0, 0), (1, 1)) not in c.terms
+    assert star.multiply(a, b, 4).coefficient(1).terms
 

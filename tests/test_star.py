@@ -273,3 +273,82 @@ def test_fourier_star_matches_closed_form(rng, K, scale):
             }
             assert got.coefficient(m) == ChartFunction(T2, terms)
         assert any(not got.coefficient(m).is_zero() for m in range(1, K + 1))
+
+
+T4 = ChartSpace.torus(("x1", "y1", "x2", "y2"))
+
+
+def derivative_series(product, sa, sb, K):
+    """Order k of sa * sb as sum_{j+l+m=k} B_m(a_j, b_l), every B_m with
+    m >= 1 from iterated derivatives, the general path."""
+    coeffs = []
+    for k in range(K + 1):
+        c = ChartFunction.zero(product.space)
+        for j in range(k + 1):
+            for l in range(k - j + 1):
+                a, b, m = sa.coefficient(j), sb.coefficient(l), k - j - l
+                c = c + (a * b if m == 0 else product._derivative_bidiff(m, a, b))
+        coeffs.append(c)
+    return coeffs
+
+
+@pytest.mark.parametrize("K", [2, 6, 8])
+@pytest.mark.parametrize("space", [T2, T4], ids=["T2", "T4"])
+@pytest.mark.parametrize(
+    "scale", [Fraction(1), Fraction(-1, 3), Scalar.pi()], ids=["1", "-1/3", "pi"]
+)
+def test_fourier_path_matches_bidiff(rng, monkeypatch, space, K, scale):
+    product = PureStarProduct(PoissonStructure.standard(space, scale))
+    derivative_calls = []
+    general = PureStarProduct._derivative_bidiff
+    monkeypatch.setattr(
+        PureStarProduct,
+        "_derivative_bidiff",
+        lambda self, *args: derivative_calls.append(args) or general(self, *args),
+    )
+
+    zero = ChartFunction.zero(space)
+
+    def trig():
+        return random_trig(space, rng, max_freq=2, n_terms=2)
+
+    def series(*coeffs):
+        return FormalSeries(space, list(coeffs) + [zero] * (K + 1 - len(coeffs)))
+
+    a, b = trig(), trig()
+    u, v = space.names[:2]
+    mixed = ChartFunction.variable(space, v) * ChartFunction.fourier(space, {u: 1})
+    cases = [
+        (a, b, True),
+        (b, a, True),
+        (series(a, trig(), trig()), series(trig(), trig(), b), True),
+        (series(zero, trig(), trig()), b, True),
+        (zero, b, True),
+        (mixed, a, False),
+    ]
+    for x, y, fourier in cases:
+        derivative_calls.clear()
+        got = product.multiply(x, y, K)
+        assert bool(derivative_calls) != fourier
+        want = derivative_series(product, product._promote(x, K), product._promote(y, K), K)
+        assert got.K == K
+        for m in range(K + 1):
+            assert got.coefficient(m) == want[m]
+    assert any(not product.multiply(a, b, K).coefficient(m).is_zero() for m in range(2, K + 1))
+
+
+def test_fourier_bidiff_with_cross_coupling(rng):
+    # Pi^02 couples x1 with x2 and is not a monomial in pi, so s = k.Pi.l
+    # sums three entries and its powers take the general Scalar power
+    cross = Scalar({0: Fraction(1, 2), 1: 1})
+    entries = {(0, 1): Scalar.one(), (2, 3): Scalar.one(), (0, 2): cross}
+    rows = [[Scalar.zero()] * 4 for _ in range(4)]
+    for (i, j), p in entries.items():
+        rows[i][j], rows[j][i] = p, -p
+    product = PureStarProduct(PoissonStructure(T4, tuple(tuple(r) for r in rows)))
+    for _ in range(2):
+        a = random_trig(T4, rng, max_freq=2, n_terms=3)
+        b = random_trig(T4, rng, max_freq=2, n_terms=3)
+        for m in range(1, 5):
+            assert product.bidiff(m, a, b) == product._derivative_bidiff(m, a, b)
+        assert not product.bidiff(3, a, b).is_zero()
