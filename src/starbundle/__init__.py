@@ -7,6 +7,7 @@ from .scalar import CScalar, Scalar, parse_scalar
 from .chartfn import ChartFunction, ChartSpace
 from .manifold import EuclideanChart, ProductChart, Sphere2, Torus
 from .forms import DifferentialForm
+from .report import CheckReport
 
 __all__ = [
     "CScalar",
@@ -19,4 +20,5 @@ __all__ = [
     "Sphere2",
     "Torus",
     "DifferentialForm",
+    "CheckReport",
 ]

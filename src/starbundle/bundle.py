@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .cech import CechConnectionData
 from .cover import Rect
+from .report import CheckReport
 from .scalar import Scalar
 
 
@@ -117,8 +118,8 @@ class LocalLineBundle:
             )
         bundle = LocalLineBundle(data)
         cocycle = bundle.check_gluing_cocycle()
-        if not cocycle["passed"]:
-            raise BundleError(f"gluing cocycle fails: {cocycle['failures'][0]}")
+        if not cocycle.passed:
+            raise BundleError(f"gluing cocycle fails: {cocycle.failures[0]}")
         return bundle
 
     # -- phase evaluation ----------------------------------------------------
@@ -165,7 +166,7 @@ class LocalLineBundle:
 
     # -- invariant checks ------------------------------------------------------
 
-    def check_gluing_cocycle(self) -> dict:
+    def check_gluing_cocycle(self) -> CheckReport:
         """g_ij * g_jk == g_ik on squared triple overlaps, symbolically.
 
         The left/right phase difference of the triple sum is an exact zero
@@ -178,13 +179,10 @@ class LocalLineBundle:
             total = self.data.triple_sum(i, j, k)
             left = total.embed(pair, base.copy_map(1))
             right = total.embed(pair, base.copy_map(2))
-            if not (left - right).is_zero():
-                failures.append(f"triple ({i},{j},{k}): gluing defect {left - right}")
-        return {
-            "passed": not failures,
-            "triples_checked": len(self.cover.triples),
-            "failures": failures,
-        }
+            defect = left - right
+            if not defect.is_zero():
+                failures.append({"triple": (i, j, k), "defect": str(defect)})
+        return CheckReport("gluing_cocycle", len(self.cover.triples), failures)
 
     def _sample_points(self, rect: Rect, count: int = 4) -> list[tuple[Fraction, ...]]:
         """Deterministic rational points spread inside a rectangle."""
@@ -230,23 +228,26 @@ class LocalLineBundle:
             violations=tuple(violations),
         )
 
-    def diagonal_unit(self) -> dict:
+    def diagonal_unit(self) -> CheckReport:
         """The canonical section e with H(e (x) e) = e and identity action.
 
         In the canonical trivializations e is the constant 1 on the diagonal
-        of every chart; the report records the idempotence check, the
-        identity action on sampled germs, and the rejection of -e.
+        of every chart; the report records the idempotence check and the
+        rejection of -e at sampled points of every chart, and the identity
+        action on a germ over every pair overlap.
         """
         failures = []
+        checked = 0
         for idx, rect in enumerate(self.cover.charts):
             for x in self._sample_points(rect, 3):
+                point = [str(c) for c in x]
                 e = GermElement(idx, x, x, PolarC.one())
-                ee = self.compose(e, e, anchor=idx, chart=idx)
-                if ee.value != e.value:
-                    failures.append(f"chart {idx}: H(e,e) != e at {x}")
+                if self.compose(e, e, anchor=idx, chart=idx).value != e.value:
+                    failures.append({"identity": "idempotence", "chart": idx, "point": point})
                 neg = GermElement(idx, x, x, PolarC.minus_one())
                 if self.compose(neg, neg, anchor=idx, chart=idx).value == neg.value:
-                    failures.append(f"chart {idx}: -e passed the idempotence test")
+                    failures.append({"identity": "minus-e-rejected", "chart": idx, "point": point})
+                checked += 2
         # identity action across charts on pair overlaps
         for i, j in self.cover.pairs:
             rect = self.cover.pair_rect(i, j)
@@ -254,26 +255,25 @@ class LocalLineBundle:
             x, y = pts[0], pts[1]
             u = GermElement(i, x, y, PolarC(Fraction(7, 2), Scalar.pi(1, Fraction(2, 7))))
             e_left = GermElement(j, x, x, PolarC.one())  # unit trivialized elsewhere
-            acted = self.compose(e_left, u, anchor=i, chart=i)
-            if acted.value != u.value:
-                failures.append(f"pair ({i},{j}): unit does not act as identity")
-        return {
-            "passed": not failures,
-            "unit": "constant 1 in every canonical trivialization",
-            "failures": failures,
-        }
+            if self.compose(e_left, u, anchor=i, chart=i).value != u.value:
+                failures.append({"identity": "identity-action", "pair": (i, j)})
+            checked += 1
+        return CheckReport("diagonal_unit", checked, failures)
 
-    def honest_cocycle_closes(self) -> dict:
+    def honest_cocycle_closes(self) -> CheckReport:
         """Does the one-sided cocycle e^{i phi_ij} already close on triples?
 
-        True exactly when every triple constant lies in 2*pi*Z, i.e. when the
-        bundle class is integral and an honest line bundle exists.
+        Passes exactly when every triple constant lies in 2*pi*Z, i.e. when
+        the bundle class is integral and an honest line bundle exists; each
+        triple whose constant does not is a failure.
         """
-        flags = {
-            f"{i},{j},{k}": const.is_two_pi_integer()
-            for (i, j, k), const in sorted(self.data.triple_constants.items())
-        }
-        return {"closes": all(flags.values()), "triples": flags}
+        constants = sorted(self.data.triple_constants.items())
+        failures = [
+            {"triple": triple, "constant": str(const)}
+            for triple, const in constants
+            if not const.is_two_pi_integer()
+        ]
+        return CheckReport("honest_cocycle", len(constants), failures)
 
 
 def build_local_line_bundle(data: CechConnectionData) -> LocalLineBundle:

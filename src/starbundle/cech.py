@@ -10,7 +10,6 @@ line-bundle criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -19,24 +18,12 @@ from .chartfn import ChartFunction
 from .cover import GoodCover
 from .forms import DifferentialForm
 from .manifold import Torus
+from .report import CheckReport
 from .scalar import Scalar
 
 
 class CechError(ValueError):
     """Raised when descent data violates one of its defining identities."""
-
-
-@dataclass(frozen=True)
-class CechReport:
-    curl_ok: bool
-    overlap_ok: bool
-    triple_ok: bool
-    antisymmetry_ok: bool
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.curl_ok and self.overlap_ok and self.triple_ok and self.antisymmetry_ok
 
 
 def _triple_sum(cover: GoodCover, transitions: Mapping, i: int, j: int, k: int) -> ChartFunction:
@@ -115,43 +102,35 @@ class CechConnectionData:
                 failures.append((i, j))
         return failures
 
-    def verify(self) -> CechReport:
+    def verify(self) -> CheckReport:
         """Check every descent identity; computed on the first call only."""
         if self._report is None:
             object.__setattr__(self, "_report", self._check())
         return self._report
 
-    def _check(self) -> CechReport:
-        failures: list[str] = []
-        curl_ok = True
-        for i, alpha in self.alphas.items():
-            if alpha.exterior_d() != self.omega:
-                curl_ok = False
-                failures.append(f"d(alpha_{i}) != omega")
-        overlaps = self.overlap_failures(self.alphas)
-        failures.extend(f"alpha_{i} - alpha_{j} != d(phi_{i}{j})" for i, j in overlaps)
-        antisym_ok = True
+    def _check(self) -> CheckReport:
+        failures = [
+            {"identity": "curl", "chart": i}
+            for i, alpha in self.alphas.items()
+            if alpha.exterior_d() != self.omega
+        ]
+        failures += (
+            {"identity": "overlap", "pair": pair} for pair in self.overlap_failures(self.alphas)
+        )
         for (i, j), phi in self.transitions.items():
             reverse = self.transitions.get((j, i))
-            if reverse is None:
-                antisym_ok = False
-                failures.append(f"missing phi_{j}{i}")
-                continue
-            if reverse != (-phi).shift(self.cover.frame_shift(j, i)):
-                antisym_ok = False
-                failures.append(f"phi_{j}{i} != -phi_{i}{j}")
-        triple_ok = True
-        for (i, j, k), const in self.triple_constants.items():
-            total = self.triple_sum(i, j, k)
-            if not total.is_constant():
-                triple_ok = False
-                failures.append(f"phi_{i}{j}{k} is not constant: {total}")
-                continue
-            v = total.constant_value()
-            if not v.is_real() or v.re != const:
-                triple_ok = False
-                failures.append(f"phi_{i}{j}{k} != stored constant")
-        return CechReport(curl_ok, not overlaps, triple_ok, antisym_ok, tuple(failures))
+            if reverse is None or reverse != (-phi).shift(self.cover.frame_shift(j, i)):
+                failures.append(
+                    {"identity": "antisymmetry", "pair": (i, j), "missing": reverse is None}
+                )
+        space = self.torus.space
+        for triple, const in self.triple_constants.items():
+            total = self.triple_sum(*triple)
+            if total != ChartFunction.constant(space, const):
+                found = {"sum": str(total), "stored": str(const)}
+                failures.append({"identity": "triple", "triple": triple, **found})
+        checked = len(self.alphas) + 2 * len(self.transitions) + len(self.triple_constants)
+        return CheckReport("cech_descent", checked, failures)
 
 
 def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:

@@ -372,7 +372,13 @@ class ChartFunction:
     # -- substitution machinery ------------------------------------------
 
     def embed(self, target: ChartSpace, var_map: Mapping[str, str]) -> "ChartFunction":
-        """Rename coordinates into a (possibly larger) chart."""
+        """Rename coordinates into a (possibly larger) chart.
+
+        Every key of ``var_map`` must be a source coordinate (KeyError
+        otherwise); coordinates it omits keep their names.
+        """
+        for name in var_map:
+            self.space.index(name)
         idx = []
         for name in self.space.names:
             new = var_map.get(name, name)
@@ -393,25 +399,6 @@ class ChartFunction:
         if aperiodic and any(freq[t] for _, freq in out for t in aperiodic):
             raise ValueError("Fourier frequency on a non-periodic coordinate")
         return _chartfn(target, out)
-
-    def identify(self, source: str, target: str) -> "ChartFunction":
-        """Substitute coordinate ``source := target`` within the same chart."""
-        i, j = self.space.index(source), self.space.index(target)
-        if i == j:
-            return self
-        out: dict[tuple[tuple[int, ...], tuple[int, ...]], CScalar] = {}
-        for (mon, freq), c in self._terms.items():
-            m2, f2 = list(mon), list(freq)
-            m2[j] += m2[i]
-            f2[j] += f2[i]
-            m2[i] = 0
-            f2[i] = 0
-            key = (tuple(m2), tuple(f2))
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        if not self.space.periodic[j] and any(freq[j] for _, freq in out):
-            raise ValueError("Fourier frequency on a non-periodic coordinate")
-        return _chartfn(self.space, out)
 
     def shift(self, delta: Mapping[str, Fraction]) -> "ChartFunction":
         """Return g with g(u) = f(u + delta).

@@ -16,19 +16,20 @@ from fractions import Fraction
 from .chartfn import ChartFunction
 from .forms import DifferentialForm
 from .manifold import Torus
+from .report import CheckReport
 from .scalar import Scalar
 
 
-def _constant_integer(f: ChartFunction) -> tuple[bool, str]:
-    """Is f a constant whose value is a rational integer?"""
+def _integer_defect(f: ChartFunction) -> str | None:
+    """Why f is not a constant rational integer, or None when it is."""
     if not f.is_constant():
-        return False, f"nonconstant: {f}"
+        return f"nonconstant: {f}"
     v = f.constant_value()
     if not v.is_real():
-        return False, f"non-real constant: {v}"
+        return f"non-real constant: {v}"
     if not v.re.is_integer():
-        return False, f"non-integer constant: {v.re}"
-    return True, str(v.re)
+        return f"non-integer constant: {v.re}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,7 @@ class LocalCircleFunction:
         return f12 + f23 - f13
 
     def diagonal_value(self) -> ChartFunction:
-        diag = self.phi
-        for name in self.torus.names:
-            diag = diag.identify(f"{name}_1", f"{name}_2")
-        return diag
+        return self.phi.embed(self.phi.space, {f"{n}_1": f"{n}_2" for n in self.torus.names})
 
     def inverse_defect(self) -> ChartFunction:
         """Phi(x,y) + Phi(y,x); integrality makes A(x,y)A(y,x) = 1."""
@@ -95,38 +93,21 @@ class LocalCircleFunction:
         return out
 
 
-@dataclass(frozen=True)
-class CircleCocycleReport:
-    diagonal_integral: bool
-    cocycle_integral: bool
-    inverse_integral: bool
-    well_defined: bool
-    details: tuple[tuple[str, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.diagonal_integral
-            and self.cocycle_integral
-            and self.inverse_integral
-            and self.well_defined
-        )
-
-
-def check_circle_cocycle(a: LocalCircleFunction) -> CircleCocycleReport:
-    details = []
-    ok_diag, msg = _constant_integer(a.diagonal_value())
-    details.append(("diagonal", msg))
-    ok_coc, msg = _constant_integer(a.cocycle_defect())
-    details.append(("cocycle-defect", msg))
-    ok_inv, msg = _constant_integer(a.inverse_defect())
-    details.append(("inverse", msg))
-    ok_lat = True
-    for name, defect in zip(a.torus.names, a.lattice_defects()):
-        ok, msg = _constant_integer(defect)
-        ok_lat = ok_lat and ok
-        details.append((f"lattice-shift-{name}", msg))
-    return CircleCocycleReport(ok_diag, ok_coc, ok_inv, ok_lat, tuple(details))
+def check_circle_cocycle(a: LocalCircleFunction) -> CheckReport:
+    """The diagonal value, cocycle and inverse defects and lattice-shift
+    defects of Phi are all constant integers."""
+    cases = [
+        ("diagonal", a.diagonal_value()),
+        ("cocycle-defect", a.cocycle_defect()),
+        ("inverse", a.inverse_defect()),
+    ]
+    cases += [(f"lattice-shift-{n}", d) for n, d in zip(a.torus.names, a.lattice_defects())]
+    failures = []
+    for identity, f in cases:
+        detail = _integer_defect(f)
+        if detail is not None:
+            failures.append({"identity": identity, "detail": detail})
+    return CheckReport("circle_cocycle", len(cases), failures)
 
 
 def one_form_from_circle(a: LocalCircleFunction) -> DifferentialForm:
@@ -137,7 +118,7 @@ def one_form_from_circle(a: LocalCircleFunction) -> DifferentialForm:
     """
     report = check_circle_cocycle(a)
     if not report.passed:
-        raise ValueError(f"not a local circle function: {report.details}")
+        raise ValueError(f"not a local circle function: {report.failures}")
     base = a.torus.space
     pair = base.copies(2)
     coeffs = {}

@@ -24,6 +24,7 @@ from .cohomology import CohomologyClass
 from .cover import GoodCover
 from .forms import DifferentialForm
 from .manifold import ProductChart, Torus
+from .report import CheckReport
 from .scalar import Scalar
 
 
@@ -160,16 +161,6 @@ class PartitionOfUnity:
         return [self.window(i) for i in range(len(self.cover.charts))]
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    pairs_checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 class GluedConnection:
     """Per-chart left connection 1-forms of a glued product connection."""
 
@@ -189,14 +180,12 @@ class GluedConnection:
     def torus(self) -> Torus:
         return self.bundle.torus
 
-    def consistency_report(self) -> ConsistencyReport:
+    def consistency_report(self) -> CheckReport:
         """beta_i - beta_j = d phi_ij on every overlap, exactly."""
         data = self.bundle.data
-        failures = tuple(
-            f"charts ({i},{j}): glued forms are inconsistent"
-            for i, j in data.overlap_failures(self.left_forms)
-        )
-        return ConsistencyReport(len(data.transitions), failures)
+        overlaps = data.overlap_failures(self.left_forms)
+        failures = [{"identity": "overlap", "pair": pair} for pair in overlaps]
+        return CheckReport("overlap_consistency", len(data.transitions), failures)
 
     def product_form(self, chart: int) -> DifferentialForm:
         """pi_L* beta - pi_R* beta on the squared chart."""
@@ -207,7 +196,7 @@ class GluedConnection:
         right = beta.embed(pair, base.copy_map(2))
         return left - right
 
-    def multiplicativity_report(self) -> dict:
+    def multiplicativity_report(self) -> CheckReport:
         """Connection-form additivity across triples plus overlap consistency.
 
         A product-structure form A = pi_L*beta - pi_R*beta satisfies
@@ -215,16 +204,16 @@ class GluedConnection:
         is the infinitesimal multiplicative property of the connection.
         """
         consistency = self.consistency_report()
-        additive_failures = []
-        for chart in self.left_forms:
-            form = self.product_form(chart)
-            if not check_product_additivity(form, self.torus.space):
-                additive_failures.append(f"chart {chart}: additivity identity fails")
-        return {
-            "passed": consistency.passed and not additive_failures,
-            "overlap_consistency": consistency,
-            "additivity_failures": additive_failures,
-        }
+        additivity = [
+            {"identity": "additivity", "chart": chart}
+            for chart in self.left_forms
+            if not check_product_additivity(self.product_form(chart), self.torus.space)
+        ]
+        return CheckReport(
+            "connection_multiplicativity",
+            consistency.checked + len(self.left_forms),
+            consistency.failures + tuple(additivity),
+        )
 
 
 def check_product_additivity(pair_form: DifferentialForm, base: ChartSpace) -> bool:
@@ -381,24 +370,18 @@ class GluedMetric:
             den=self.weight.embed(pair, base.copy_map(2)),
         )
 
-    def multiplicativity_report(self) -> dict:
-        ok = self.pair_weight().is_multiplicative(self.bundle.torus.space)
-        return {
-            "passed": ok,
-            "structure": "boxtimes-inverse weights cancel: |H(u,v)| = |u||v|",
-        }
+    def multiplicativity_report(self) -> CheckReport:
+        """The boxtimes-inverse weights cancel: |H(u,v)| = |u||v|."""
+        failures = []
+        if not self.pair_weight().is_multiplicative(self.bundle.torus.space):
+            failures.append({"identity": "multiplicativity", "weight": str(self.weight)})
+        return CheckReport("metric_multiplicativity", 1, failures)
 
-    def compatible_connection_witness(self) -> dict:
-        """The metric-compatible correction is (1/2) d(h)/h; return it in
-        cleared form together with the verified Leibniz identity."""
+    def compatible_connection_witness(self) -> tuple[DifferentialForm, ChartFunction]:
+        """The metric-compatible correction (1/2) d(h)/h, in cleared form:
+        the numerator (1/2) dh and the denominator h."""
         dh = DifferentialForm.from_function(self.bundle.torus, self.weight).exterior_d()
-        half_dh = dh.scale(Fraction(1, 2))
-        identity_holds = (half_dh + half_dh) == dh
-        return {
-            "correction_numerator": half_dh,
-            "correction_denominator": self.weight,
-            "leibniz_identity": identity_holds,
-        }
+        return dh.scale(Fraction(1, 2)), self.weight
 
 
 def glue_hermitian(

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .cohomology import CohomologyClass, exp_twist, todd_class
 from .forms import DifferentialForm
 from .manifold import Manifold, Sphere2, Torus
+from .report import CheckReport
 from .scalar import Scalar
 
 SUPPORTED = "Torus(2), Torus(4), Sphere2"
@@ -111,6 +112,15 @@ def twisted_index(
     return IndexResult(total, tuple(by_degree), total.is_integer())
 
 
+def _equality_report(
+    name: str, lhs_label: str, lhs: Scalar, rhs_label: str, rhs: Scalar
+) -> CheckReport:
+    """One exact comparison of two index values, both kept in the metrics;
+    when they differ, the pair is the failure witness too."""
+    metrics = {lhs_label: str(lhs), rhs_label: str(rhs)}
+    return CheckReport(name, 1, [] if lhs == rhs else [metrics], metrics)
+
+
 def compose_symbols(a1: EllipticSymbolClass, a2: EllipticSymbolClass) -> EllipticSymbolClass:
     """Composite a2 . a1; pushed Chern data is additive under composition."""
     if a1.rank_f != a2.rank_e:
@@ -124,18 +134,15 @@ def check_log_multiplicativity(
     a2: EllipticSymbolClass,
     omega: DifferentialForm | None,
     manifold: Manifold,
-) -> dict:
+) -> CheckReport:
     """ind(a2 . a1) == ind(a1) + ind(a2), exact equality."""
     composite = compose_symbols(a1, a2)
     lhs = twisted_index(composite, omega, manifold)
     r1 = twisted_index(a1, omega, manifold)
     r2 = twisted_index(a2, omega, manifold)
-    equal = lhs.value == r1.value + r2.value
-    return {
-        "passed": equal,
-        "composite": lhs,
-        "factors": [r1, r2],
-    }
+    return _equality_report(
+        "log_multiplicativity", "composite", lhs.value, "sum_of_factors", r1.value + r2.value
+    )
 
 
 def check_homotopy_invariance(
@@ -144,7 +151,7 @@ def check_homotopy_invariance(
     manifold: Manifold,
     beta: DifferentialForm,
     target: str | int = "omega",
-) -> dict:
+) -> CheckReport:
     """Perturb a representative by d(beta) and require bitwise equality.
 
     ``beta`` is the demanded primitive witness; its exterior derivative is
@@ -170,14 +177,10 @@ def check_homotopy_invariance(
         )
         perturbed = EllipticSymbolClass(a.rank_e, a.rank_f, gamma)
         after = twisted_index(perturbed, omega, manifold)
-    return {
-        "passed": before.value == after.value,
-        "before": before,
-        "after": after,
-    }
+    return _equality_report("homotopy_invariance", "before", before.value, "after", after.value)
 
 
-def check_tensor_consistency(a: EllipticSymbolClass, m: int, manifold: Torus) -> dict:
+def check_tensor_consistency(a: EllipticSymbolClass, m: int, manifold: Torus) -> CheckReport:
     """For integral twists, twisting equals tensoring by the honest bundle.
 
     Compares ind(a, omega = 2*pi*m vol) with the untwisted index of the
@@ -194,8 +197,6 @@ def check_tensor_consistency(a: EllipticSymbolClass, m: int, manifold: Torus) ->
         a.rank_e, a.rank_f, a.gamma.cup(exp_twist(omega))
     )
     rhs = twisted_index(tensored, None, manifold)
-    return {
-        "passed": lhs.value == rhs.value,
-        "twisted": lhs,
-        "tensored_untwisted": rhs,
-    }
+    return _equality_report(
+        "tensor_consistency", "twisted", lhs.value, "tensored_untwisted", rhs.value
+    )

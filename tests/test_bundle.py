@@ -44,8 +44,8 @@ def test_triple_associativity_passes(theta):
 def test_gluing_cocycle_symbolic():
     bundle = make_bundle(Scalar.rational(Fraction(3, 7)))
     result = bundle.check_gluing_cocycle()
-    assert result["passed"]
-    assert result["triples_checked"] == 36
+    assert result.passed
+    assert result.checked == 36
 
 
 def test_tampered_transition_detected():
@@ -64,7 +64,7 @@ def test_tampered_transition_detected():
         LocalLineBundle.build(bad)
     # bypassing validation, the point checks still catch it
     bundle = LocalLineBundle(bad)
-    assert not bundle.check_gluing_cocycle()["passed"]
+    assert not bundle.check_gluing_cocycle().passed
     report = bundle.check_triple_associativity()
     assert not report.passed
     assert any(v["triple"] == (i, j, k) for v in report.violations)
@@ -74,15 +74,15 @@ def test_diagonal_unit():
     for theta in (Scalar.zero(), Scalar.rational(Fraction(3, 7))):
         bundle = make_bundle(theta)
         result = bundle.diagonal_unit()
-        assert result["passed"], result["failures"][:1]
+        assert result.passed, result.failures[:1]
 
 
 def test_honest_cocycle_criterion():
-    assert make_bundle(Scalar.pi(1, 2)).honest_cocycle_closes()["closes"]
-    assert make_bundle(Scalar.zero()).honest_cocycle_closes()["closes"]
-    assert not make_bundle(Scalar.rational(Fraction(3, 7))).honest_cocycle_closes()["closes"]
+    assert make_bundle(Scalar.pi(1, 2)).honest_cocycle_closes().passed
+    assert make_bundle(Scalar.zero()).honest_cocycle_closes().passed
+    assert not make_bundle(Scalar.rational(Fraction(3, 7))).honest_cocycle_closes().passed
     # non-integral pi-multiple: some triple fails
-    assert not make_bundle(Scalar.pi(1, Fraction(2, 3))).honest_cocycle_closes()["closes"]
+    assert not make_bundle(Scalar.pi(1, Fraction(2, 3))).honest_cocycle_closes().passed
 
 
 def test_germ_composability_guard():

@@ -94,7 +94,10 @@ def test_chartfn_operations_stay_canonical(rng):
             pair = f.embed(space.copies(2), space.copy_map(1)) * g.embed(
                 space.copies(2), space.copy_map(2)
             )
-            results += [pair.identify("x_1", "x_2"), pair.identify("y_2", "y_1")]
+            results += [
+                pair.embed(pair.space, {"x_1": "x_2"}),
+                pair.embed(pair.space, {"y_2": "y_1"}),
+            ]
             if make is random_trig:
                 results += star.multiply(f, g, 3).coeffs
             for h in results:

@@ -22,6 +22,9 @@ def test_unknown_variable_errors():
     f = ChartFunction.variable(R2, "x")
     with pytest.raises(KeyError):
         f.derive("z")
+    # a map key that is no source coordinate names a renaming that never happens
+    with pytest.raises(KeyError):
+        ChartFunction.fourier(T2, {"x": 1}).embed(T2, {"q": "y"})
 
 
 def test_trig_derivative_carries_two_pi():
@@ -70,7 +73,7 @@ def test_frequency_forbidden_off_torus():
         ChartFunction.fourier(mixed.copies(1), {"y_1": 1}).embed(mixed, {"y_1": "x", "x_1": "y"})
     flipped = ChartSpace(("x", "y"), (True, False))
     with pytest.raises(ValueError, match="non-periodic"):
-        ChartFunction.fourier(flipped, {"x": 1}).identify("x", "y")
+        ChartFunction.fourier(flipped, {"x": 1}).embed(flipped, {"x": "y"})
 
 
 def test_malformed_terms_rejected():
@@ -122,7 +125,7 @@ def test_evaluate_on_quarter_grid():
 def test_identify_diagonal():
     pair = ChartSpace.torus(("x_1", "x_2"))
     phi = ChartFunction.variable(pair, "x_1") - ChartFunction.variable(pair, "x_2")
-    assert phi.identify("x_1", "x_2").is_zero()
+    assert phi.embed(pair, {"x_1": "x_2"}).is_zero()
 
 
 def test_embed_into_pair_space():
@@ -132,7 +135,5 @@ def test_embed_into_pair_space():
     assert left.space == pair
     assert not left.is_zero()
     # embedding then identifying copies recovers a consistent diagonal value
-    diag = left
-    for n in T2.names:
-        diag = diag.identify(f"{n}_1", f"{n}_2")
+    diag = left.embed(pair, {f"{n}_1": f"{n}_2" for n in T2.names})
     assert diag == f.embed(pair, T2.copy_map(2))

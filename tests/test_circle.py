@@ -37,9 +37,8 @@ def test_product_phase_fails_with_nonconstant_defect():
     a = LocalCircleFunction(S1, phi)
     report = check_circle_cocycle(a)
     assert not report.passed
-    assert not report.cocycle_integral
-    detail = dict(report.details)["cocycle-defect"]
-    assert "nonconstant" in detail
+    witnesses = {w["identity"]: w["detail"] for w in report.failures}
+    assert "nonconstant" in witnesses["cocycle-defect"]
 
 
 def test_one_form_integer_slope():

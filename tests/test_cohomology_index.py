@@ -137,18 +137,18 @@ def test_log_multiplicativity():
     ident = EllipticSymbolClass.identity(T2)
     a = EllipticSymbolClass.on_torus2(T2, 2, 3)
     report = check_log_multiplicativity(ident, a, None, T2)
-    assert report["passed"]
+    assert report.passed
     # winding classes: integer indices add at omega = 0
     w1 = EllipticSymbolClass.on_torus2(T2, 0, 4)
     w2 = EllipticSymbolClass.on_torus2(T2, 0, -1)
-    assert check_log_multiplicativity(w1, w2, None, T2)["passed"]
+    assert check_log_multiplicativity(w1, w2, None, T2).passed
     lhs = twisted_index(compose_symbols(w1, w2), None, T2)
     assert lhs.value == Scalar.rational(3)
     # real indices add for nonzero twists
     omega = constant_two_form(T2, Fraction(3, 7))
     a1 = EllipticSymbolClass.on_torus2(T2, 2, 5)
     a2 = EllipticSymbolClass.on_torus2(T2, -1, 1)
-    assert check_log_multiplicativity(a1, a2, omega, T2)["passed"]
+    assert check_log_multiplicativity(a1, a2, omega, T2).passed
 
 
 def test_compose_rank_chain_guard():
@@ -162,16 +162,16 @@ def test_homotopy_invariance():
     a = EllipticSymbolClass.on_torus2(T2, 2, 5)
     omega = constant_two_form(T2, Fraction(3, 7))
     zero_witness = DifferentialForm.zero(T2)
-    assert check_homotopy_invariance(a, omega, T2, zero_witness)["passed"]
+    assert check_homotopy_invariance(a, omega, T2, zero_witness).passed
     # omega -> omega + d(sin(2 pi x) dy): bitwise identical index
     witness = DifferentialForm(T2, {(1,): ChartFunction.sine(T2.space, "x")})
     report = check_homotopy_invariance(a, omega, T2, witness, target="omega")
-    assert report["passed"]
+    assert report.passed
     # perturb the top-degree gamma representative by d(f dy)
     f = ChartFunction.cosine(T2.space, "x", 2)
     witness2 = DifferentialForm(T2, {(1,): f})
     report2 = check_homotopy_invariance(a, omega, T2, witness2, target=2)
-    assert report2["passed"]
+    assert report2.passed
 
 
 def test_homotopy_invariance_rejects_bad_witness():
@@ -186,7 +186,7 @@ def test_tensor_consistency():
     for m, (d, e) in [(0, (1, 0)), (1, (1, 0)), (3, (2, 5))]:
         a = EllipticSymbolClass.on_torus2(T2, d, e)
         report = check_tensor_consistency(a, m, T2)
-        assert report["passed"]
+        assert report.passed
     with pytest.raises(ValueError):
         check_tensor_consistency(EllipticSymbolClass.on_torus2(T2, 1, 0), Fraction(1, 2), T2)
 

@@ -139,5 +139,5 @@ def test_overlap_failures_name_the_broken_chart():
     report = CechConnectionData(
         data.cover, data.omega, alphas, data.transitions, data.triple_constants
     ).verify()
-    assert report.curl_ok and report.antisymmetry_ok and report.triple_ok
-    assert not report.overlap_ok and len(report.failures) == len(broken)
+    assert {w["identity"] for w in report.failures} == {"overlap"}
+    assert {w["pair"] for w in report.failures} == broken and len(report.failures) == len(broken)

@@ -1,0 +1,180 @@
+"""Every invariant check answers in one shape, CheckReport.
+
+The fixtures are the passing and failing inputs the module tests already
+use: solved descent data, a transition tampered with a quadratic term,
+alpha_0 + dy, a fractional theta, and the product phase x_1 * x_2.
+"""
+
+import ast
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from starbundle import CheckReport
+from starbundle.bundle import LocalLineBundle, build_local_line_bundle
+from starbundle.cech import CechConnectionData, constant_two_form, solve_cech
+from starbundle.chartfn import ChartFunction
+from starbundle.circle import LocalCircleFunction, check_circle_cocycle
+from starbundle.cover import GoodCover
+from starbundle.forms import DifferentialForm
+from starbundle.gluing import (
+    GluedConnection,
+    PartitionOfUnity,
+    glue_hermitian,
+    glue_multiplicative_connection,
+)
+from starbundle.index import (
+    EllipticSymbolClass,
+    check_homotopy_invariance,
+    check_log_multiplicativity,
+    check_tensor_consistency,
+)
+from starbundle.manifold import Torus
+from starbundle.scalar import Scalar
+
+S1 = Torus(1)
+T2 = Torus(2)
+COVER = GoodCover.grid(T2, 3)
+THETA = Scalar.rational(Fraction(3, 7))
+DY = DifferentialForm.basis(T2, "dy")
+
+
+def solved(theta=THETA):
+    return solve_cech(constant_two_form(T2, theta), COVER)
+
+
+def tampered():
+    data = solved()
+    i, j, _ = data.cover.triples[0]
+    y = ChartFunction.variable(T2.space, "y")
+    transitions = dict(data.transitions)
+    transitions[(i, j)] = transitions[(i, j)] + (y * y).scale(Fraction(1, 5))
+    return CechConnectionData(COVER, data.omega, data.alphas, transitions, data.triple_constants)
+
+
+def alpha0_plus_dy():
+    data = solved()
+    alphas = dict(data.alphas)
+    alphas[0] = alphas[0] + DY
+    return CechConnectionData(COVER, data.omega, alphas, data.transitions, data.triple_constants)
+
+
+def connection(broken=False):
+    bundle = build_local_line_bundle(solved())
+    partition = PartitionOfUnity.for_grid(COVER)
+    conn = glue_multiplicative_connection(bundle, partition)
+    if not broken:
+        return conn
+    left = dict(conn.left_forms)
+    left[0] = left[0] + DY
+    return GluedConnection(bundle, partition, conn.initial, left)
+
+
+def metric():
+    bundle = build_local_line_bundle(solved())
+    bump = ChartFunction.one(T2.space) + ChartFunction.cosine(T2.space, "x").scale(Fraction(1, 4))
+    return glue_hermitian(bundle, PartitionOfUnity.for_grid(COVER), {i: bump for i in range(9)})
+
+
+def product_phase():
+    pair = S1.space.copies(2)
+    phi = ChartFunction.variable(pair, "x_1") * ChartFunction.variable(pair, "x_2")
+    return LocalCircleFunction(S1, phi)
+
+
+A = EllipticSymbolClass.on_torus2(T2, 2, 5)
+OMEGA = constant_two_form(T2, THETA)
+
+CASES = {
+    "cech-solved": (lambda: solved().verify(), True),
+    "cech-tampered": (lambda: tampered().verify(), False),
+    "cech-alpha0-dy": (lambda: alpha0_plus_dy().verify(), False),
+    "gluing-cocycle": (lambda: build_local_line_bundle(solved()).check_gluing_cocycle(), True),
+    "gluing-cocycle-tampered": (lambda: LocalLineBundle(tampered()).check_gluing_cocycle(), False),
+    "diagonal-unit": (lambda: build_local_line_bundle(solved()).diagonal_unit(), True),
+    "honest-cocycle-2pi": (
+        lambda: build_local_line_bundle(solved(Scalar.pi(1, 2))).honest_cocycle_closes(),
+        True,
+    ),
+    "honest-cocycle-3/7": (
+        lambda: build_local_line_bundle(solved()).honest_cocycle_closes(),
+        False,
+    ),
+    "consistency": (lambda: connection().consistency_report(), True),
+    "consistency-dy": (lambda: connection(broken=True).consistency_report(), False),
+    "connection-mult": (lambda: connection().multiplicativity_report(), True),
+    "connection-mult-dy": (lambda: connection(broken=True).multiplicativity_report(), False),
+    "metric-mult": (lambda: metric().multiplicativity_report(), True),
+    "circle-slope": (lambda: check_circle_cocycle(LocalCircleFunction.from_slopes(S1, [3])), True),
+    "circle-product-phase": (lambda: check_circle_cocycle(product_phase()), False),
+    "log-mult": (
+        lambda: check_log_multiplicativity(A, EllipticSymbolClass.on_torus2(T2, -1, 1), OMEGA, T2),
+        True,
+    ),
+    "homotopy": (
+        lambda: check_homotopy_invariance(
+            A, OMEGA, T2, DifferentialForm(T2, {(1,): ChartFunction.sine(T2.space, "x")})
+        ),
+        True,
+    ),
+    "tensor": (lambda: check_tensor_consistency(A, 3, T2), True),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_check_reports_one_shape(case):
+    make, expected = CASES[case]
+    report = make()
+    assert isinstance(report, CheckReport)
+    assert report.passed == (not report.failures) == expected
+    assert report.checked > 0
+    json.dumps(report.failures)
+    json.dumps(dict(report.metrics))
+
+
+def test_report_rejects_values_json_cannot_hold():
+    with pytest.raises(TypeError):
+        CheckReport("exact", 1, [{"constant": Scalar.pi()}])
+    with pytest.raises(TypeError):
+        CheckReport("exact", 1, metrics={"index": [Fraction(1, 3)]})
+    report = CheckReport("plain", 2, [{"pair": (0, 1), "missing": True}], {"value": "1/3"})
+    assert not report.passed and dict(report.metrics) == {"value": "1/3"}
+
+
+# -- drift guard: no check goes back to an ad hoc verdict dict ----------------
+
+MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "starbundle").glob("*.py"))
+VERDICT_KEYS = {"passed", "closes", "leibniz_identity"}
+
+
+def _verdict_dicts(tree: ast.Module) -> list[int]:
+    """Lines of dict literals and dict(...) calls keyed by a verdict name."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            keys = {kw.arg for kw in node.keywords}
+        else:
+            continue
+        if keys & VERDICT_KEYS:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_ad_hoc_verdict_dicts(path):
+    lines = _verdict_dicts(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} builds a verdict dict at lines {lines}; return a CheckReport"
+
+
+def test_detects_a_verdict_dict():
+    source = (
+        "a = {'passed': ok, 'n': 1}\n"
+        "b = {'closes': True}\n"
+        "c = dict(leibniz_identity=True)\n"
+        "d = {'checked': 1, **extra}\n"
+    )
+    assert _verdict_dicts(ast.parse(source)) == [1, 2, 3]
