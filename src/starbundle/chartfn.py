@@ -407,7 +407,8 @@ class ChartFunction:
         phase exp(2*pi*i*k*delta), so k*delta must be quarter-integral (frame
         translations in this package are always by integer lattice vectors).
         """
-        dvec = [Fraction(delta.get(n, 0)) for n in self.space.names]
+        dvec = [delta.get(n, 0) for n in self.space.names]
+        dvec = [d if type(d) is Fraction else Fraction(d) for d in dvec]
         out: dict[tuple[tuple[int, ...], tuple[int, ...]], CScalar] = {}
         for (mon, freq), c in self._terms.items():
             phase_arg = sum(k * d for k, d in zip(freq, dvec) if k)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .manifold import Torus
 
@@ -86,6 +87,7 @@ class GoodCover:
         self._check_coverage()
         self._pair_lifts: dict[tuple[int, int], tuple[int, ...]] = {}
         self._triple_rects: dict[tuple[int, int, int], Rect] = {}
+        self._frame_shifts: dict[tuple[int, int], Mapping[str, Fraction]] = {}
         self._build_nerve()
 
     # -- constructors ------------------------------------------------------
@@ -151,6 +153,10 @@ class GoodCover:
                 self._pair_lifts[(i, j)] = lift
                 pairs.append((i, j))
         self.pairs = tuple(pairs)
+        for i, j in [(i, i) for i in range(n)] + pairs + [(j, i) for i, j in pairs]:
+            lift = self.pair_lift(i, j)
+            shift = {a: Fraction(-s) for a, s in zip(self.torus.names, lift)}
+            self._frame_shifts[(i, j)] = MappingProxyType(shift)
         triples = []
         for i, j, k in combinations(range(n), 3):
             if (i, j) not in self._pair_lifts or (i, k) not in self._pair_lifts:
@@ -182,12 +188,14 @@ class GoodCover:
             return tuple(-s for s in self._pair_lifts[(j, i)])
         raise KeyError(f"charts {i} and {j} do not overlap")
 
-    def frame_shift(self, i: int, j: int) -> dict[str, Fraction]:
+    def frame_shift(self, i: int, j: int) -> Mapping[str, Fraction]:
         """The shift moving chart j's frame into chart i's frame: a function
         f in chart j's coordinates reads ``f.shift(frame_shift(i, j))`` in
-        chart i's."""
-        lift = self.pair_lift(i, j)
-        return {n: Fraction(-s) for n, s in zip(self.torus.names, lift)}
+        chart i's.  Each is built once, in ``_build_nerve``, and read-only."""
+        shift = self._frame_shifts.get((i, j))
+        if shift is None:
+            raise KeyError(f"charts {i} and {j} do not overlap")
+        return shift
 
     def pair_rect(self, i: int, j: int) -> Rect:
         """Overlap rectangle in chart i's frame."""

@@ -236,13 +236,15 @@ class DifferentialForm:
         """Pull the form through a coordinate renaming into a larger chart.
 
         ``var_map`` sends source coordinates to target coordinates; covectors
-        follow their coordinates.
+        follow their coordinates.  A key that is not a source coordinate, or
+        a target that is not a coordinate of ``target``, raises KeyError.
         """
-        src_names = self.manifold.space.names
-        tgt_names = target.space.names
+        source = self.manifold.space
+        for name in var_map:
+            source.index(name)
         cov_index = {}
-        for i, n in enumerate(src_names):
-            cov_index[i] = tgt_names.index(var_map.get(n, n))
+        for i, n in enumerate(source.names):
+            cov_index[i] = target.space.index(var_map.get(n, n))
         out: dict[tuple[int, ...], ChartFunction] = {}
         for idx, coeff in self._terms.items():
             new_idx, sign = _sort_with_sign(tuple(cov_index[i] for i in idx))

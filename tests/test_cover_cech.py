@@ -35,6 +35,19 @@ def test_pair_lift_uniqueness_and_rects():
         assert rect is not None
 
 
+def test_frame_shift_is_minus_the_pair_lift():
+    cover = GoodCover.grid(T2, 4)
+    for i, j in cover.pairs + tuple((j, i) for i, j in cover.pairs) + ((5, 5),):
+        shift = cover.frame_shift(i, j)
+        assert dict(shift) == {n: Fraction(-s) for n, s in zip(T2.names, cover.pair_lift(i, j))}
+        assert shift is cover.frame_shift(i, j)
+        with pytest.raises(TypeError):
+            shift["x"] = Fraction(1)  # shared between calls, so read-only
+    apart = next((i, j) for i in range(16) for j in range(i + 1, 16) if (i, j) not in cover.pairs)
+    with pytest.raises(KeyError):
+        cover.frame_shift(*apart)
+
+
 def test_grid_validation_errors():
     with pytest.raises(ValueError):
         GoodCover.grid(T2, 2)

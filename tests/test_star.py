@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 from math import factorial
 
@@ -8,9 +10,10 @@ from starbundle.chartfn import ChartFunction, ChartSpace
 from starbundle.poisson import PoissonStructure, poisson_bracket
 from starbundle.scalar import CScalar, Scalar
 from starbundle.series import FormalSeries
+from starbundle import star
 from starbundle.star import PureStarProduct, check_associativity, star_trace
 
-from conftest import random_poly, random_trig
+from conftest import random_fraction, random_poly, random_trig
 
 R2 = ChartSpace.euclidean(("x", "y"))
 R4 = ChartSpace.euclidean(("x1", "y1", "x2", "y2"))
@@ -278,18 +281,25 @@ def test_fourier_star_matches_closed_form(rng, K, scale):
 T4 = ChartSpace.torus(("x1", "y1", "x2", "y2"))
 
 
-def derivative_series(product, sa, sb, K):
-    """Order k of sa * sb as sum_{j+l+m=k} B_m(a_j, b_l), every B_m with
-    m >= 1 from iterated derivatives, the general path."""
+def series_by_orders(product, sa, sb, K, bidiff):
+    """Order k of sa * sb as sum_{j+l+m=k} bidiff(m, a_j, b_l), one call per
+    term, with no state shared between the calls."""
     coeffs = []
     for k in range(K + 1):
         c = ChartFunction.zero(product.space)
         for j in range(k + 1):
             for l in range(k - j + 1):
-                a, b, m = sa.coefficient(j), sb.coefficient(l), k - j - l
-                c = c + (a * b if m == 0 else product._derivative_bidiff(m, a, b))
+                c = c + bidiff(k - j - l, sa.coefficient(j), sb.coefficient(l))
         coeffs.append(c)
     return coeffs
+
+
+def derivative_series(product, sa, sb, K):
+    """Every B_m with m >= 1 from iterated derivatives, the general path."""
+    return series_by_orders(
+        product, sa, sb, K,
+        lambda m, a, b: a * b if m == 0 else product._derivative_bidiff(m, a, b),
+    )
 
 
 @pytest.mark.parametrize("K", [2, 6, 8])
@@ -337,18 +347,113 @@ def test_fourier_path_matches_bidiff(rng, monkeypatch, space, K, scale):
     assert any(not product.multiply(a, b, K).coefficient(m).is_zero() for m in range(2, K + 1))
 
 
-def test_fourier_bidiff_with_cross_coupling(rng):
-    # Pi^02 couples x1 with x2 and is not a monomial in pi, so s = k.Pi.l
-    # sums three entries and its powers take the general Scalar power
+def cross_coupled(space):
+    """The standard Pi on a 4-chart plus Pi^02 = 1/2 + pi, which couples x1
+    with x2 and is not a monomial in pi."""
     cross = Scalar({0: Fraction(1, 2), 1: 1})
     entries = {(0, 1): Scalar.one(), (2, 3): Scalar.one(), (0, 2): cross}
     rows = [[Scalar.zero()] * 4 for _ in range(4)]
     for (i, j), p in entries.items():
         rows[i][j], rows[j][i] = p, -p
-    product = PureStarProduct(PoissonStructure(T4, tuple(tuple(r) for r in rows)))
+    return PureStarProduct(PoissonStructure(space, tuple(tuple(r) for r in rows)))
+
+
+def test_fourier_bidiff_with_cross_coupling(rng):
+    # s = k.Pi.l sums three entries and its powers take the general Scalar power
+    product = cross_coupled(T4)
     for _ in range(2):
         a = random_trig(T4, rng, max_freq=2, n_terms=3)
         b = random_trig(T4, rng, max_freq=2, n_terms=3)
         for m in range(1, 5):
             assert product.bidiff(m, a, b) == product._derivative_bidiff(m, a, b)
         assert not product.bidiff(3, a, b).is_zero()
+
+
+def poly_of_degree(space, rng, degree, n_terms=3):
+    """n_terms monomials of total degree ``degree``, exponents placed at random,
+    the shape of the benchmark's associativity inputs."""
+    total = ChartFunction.zero(space)
+    for _ in range(n_terms):
+        exps = dict.fromkeys(space.names, 0)
+        for _ in range(degree):
+            exps[rng.choice(space.names)] += 1
+        total = total + ChartFunction.monomial(space, exps, random_fraction(rng) or 1)
+    return total
+
+
+@pytest.mark.parametrize("case", ["R4-degree-4-6", "T2-mixed", "series", "pi-scaled", "cross"])
+def test_multiply_matches_naive_oracle(rng, case):
+    # multiply shares one work table among its bidiff calls; every order
+    # must still equal the oracle's independent sum over index sequences
+    K = 4
+
+    def r4_pairs(degrees):
+        return [tuple(poly_of_degree(R4, rng, rng.choice(degrees)) for _ in "ab") for _ in "12"]
+
+    def series():
+        # nonzero orders 0-2 of a K = 4 series
+        return FormalSeries(R2, [random_poly(R2, rng) for _ in range(3)] + [ChartFunction.zero(R2)] * 2)
+
+    if case == "R4-degree-4-6":
+        product, pairs = S4, r4_pairs((4, 5, 6))
+    elif case == "T2-mixed":
+        product = ST2
+        mixed = ChartFunction.variable(T2, "y") * ChartFunction.fourier(T2, {"x": 1})
+        pairs = [(mixed, mixed), (mixed, random_trig(T2, rng)), (random_trig(T2, rng), mixed)]
+    elif case == "series":
+        product, pairs = S2, [(series(), series()), (series(), random_poly(R2, rng))]
+    elif case == "pi-scaled":
+        product = PureStarProduct(PoissonStructure.standard(R4, Scalar.pi()))
+        pairs = r4_pairs((3, 4))
+    else:  # six nonzero entries: 6^m index sequences for the oracle, so K = 3
+        product, K, pairs = cross_coupled(R4), 3, r4_pairs((3, 4))
+    for x, y in pairs:
+        got = product.multiply(x, y, K)
+        sx, sy = product._promote(x, K), product._promote(y, K)
+        want = series_by_orders(product, sx, sy, K, lambda m, a, b: naive_bidiff(product, m, a, b))
+        assert got.K == K
+        for k in range(K + 1):
+            assert got.coefficient(k) == want[k]
+        assert any(not got.coefficient(k).is_zero() for k in range(1, K + 1))
+
+
+def test_associativity_of_benchmark_shaped_triples(rng):
+    triples = [tuple(poly_of_degree(R4, rng, d) for d in (4, 5, 6)) for _ in range(2)]
+    report = check_associativity(S4, triples, K=4)
+    assert report.passed and report.verified_order == 4
+
+
+def test_work_table_does_not_outlive_the_call(rng, monkeypatch):
+    # a cache that survived a call would make the second of two equal calls
+    # take fewer derivatives, or leave a table reachable after the call
+    derived = []
+    derive = ChartFunction.derive
+    monkeypatch.setattr(
+        ChartFunction, "derive", lambda self, name: derived.append(name) or derive(self, name)
+    )
+    tables = []
+    bidiff = PureStarProduct.bidiff
+
+    def spy(self, m, a, b):
+        work = star._WORK.get()
+        tables.append((id(work), weakref.ref(work)))
+        return bidiff(self, m, a, b)
+
+    monkeypatch.setattr(PureStarProduct, "bidiff", spy)
+    a, b, c = (poly_of_degree(R4, rng, d) for d in (4, 5, 6))
+    for call in (
+        lambda: S4.multiply(a, b, 4),
+        lambda: check_associativity(S4, [(a, b, c)], 4).passed or pytest.fail("not associative"),
+    ):
+        counts = []
+        for _ in range(2):
+            derived.clear()
+            call()
+            counts.append(len(derived))
+        assert counts[0] == counts[1] > 0
+    # the five bidiff calls of the first multiply (K = 4) shared one table
+    assert len(tables) > 5 and len({key for key, _ in tables[:5]}) == 1
+    gc.collect()
+    assert all(ref() is None for _, ref in tables)
+    assert star._WORK.get() is None
+    assert vars(S4) == {"poisson": P4}
