@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Mapping, Sequence, Union
 
-from .scalar import CScalar, Scalar, _new
+from .scalar import CScalar, Scalar, _new, _reduce
 
 CoeffLike = Union[CScalar, Scalar, int, Fraction]
 
@@ -81,24 +81,24 @@ class ChartSpace:
         return mapping
 
 
-_QUARTER_PHASES = {
-    Fraction(0): _new(CScalar, 1, {0: (1, 0)}),
-    Fraction(1, 4): _new(CScalar, 1, {0: (0, 1)}),
-    Fraction(1, 2): _new(CScalar, 1, {0: (-1, 0)}),
-    Fraction(3, 4): _new(CScalar, 1, {0: (0, -1)}),
-}
+_QUARTER_PHASES = (
+    _new(CScalar, 1, {0: (1, 0)}),
+    _new(CScalar, 1, {0: (0, 1)}),
+    _new(CScalar, 1, {0: (-1, 0)}),
+    _new(CScalar, 1, {0: (0, -1)}),
+)
 
 
-def _quarter_phase(q: Fraction) -> CScalar:
-    """exp(2*pi*i*q) for q in (1/4)Z; these are the only exactly
-    representable unit phases in the coefficient field."""
-    phase = _QUARTER_PHASES.get(q % 1)
-    if phase is None:
+def _quarter_turns(q: Fraction) -> int:
+    """t in 0..3 with exp(2*pi*i*q) = i**t, for q in (1/4)Z; these are the
+    only exactly representable unit phases in the coefficient field."""
+    t = 4 * q
+    if t.denominator != 1:
         raise ValueError(
             f"phase exp(2*pi*i*{q % 1}) is irrational over the scalar field; "
             "only quarter-integer arguments are exact"
         )
-    return phase
+    return t.numerator % 4
 
 
 def _rational(q: Fraction) -> CScalar:
@@ -406,13 +406,15 @@ class ChartFunction:
         Monomials expand binomially; Fourier modes pick up the exact unit
         phase exp(2*pi*i*k*delta), so k*delta must be quarter-integral (frame
         translations in this package are always by integer lattice vectors).
+        A key of ``delta`` that is not a coordinate raises KeyError.
         """
-        dvec = [delta.get(n, 0) for n in self.space.names]
-        dvec = [d if type(d) is Fraction else Fraction(d) for d in dvec]
+        dvec = [0] * self.space.dim
+        for name, d in delta.items():
+            dvec[self.space.index(name)] = d if type(d) is Fraction else Fraction(d)
         out: dict[tuple[tuple[int, ...], tuple[int, ...]], CScalar] = {}
         for (mon, freq), c in self._terms.items():
             phase_arg = sum(k * d for k, d in zip(freq, dvec) if k)
-            coeff = c * _quarter_phase(phase_arg) if phase_arg else c
+            coeff = c * _QUARTER_PHASES[_quarter_turns(phase_arg)] if phase_arg else c
             # expand prod (u_i + d_i)^{e_i}; every weight w is nonzero
             keys: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
             for e, d in zip(mon, dvec):
@@ -435,18 +437,40 @@ class ChartFunction:
         """Exact evaluation at a rational point.
 
         Fourier factors require frequency*coordinate to be quarter-integral.
+        Every coordinate of the chart must be given (KeyError otherwise).
         """
-        pvec = [Fraction(point[n]) for n in self.space.names]
-        total = CScalar.zero()
+        names = self.space.names
+        try:
+            pvec = [Fraction(point[n]) for n in names]
+        except KeyError as err:
+            raise KeyError(f"point has no coordinate {err.args[0]!r} of chart {names}") from None
+        # per pi power, the real and imaginary parts as Fractions
+        sums: dict[int, list[Fraction]] = {}
         for (mon, freq), c in self._terms.items():
-            w = Fraction(1)
+            w = Fraction(1, c._den)
             for e, x in zip(mon, pvec):
-                w *= x**e
+                if e:
+                    w *= x**e
             if not w:
                 continue
-            phase_arg = sum((Fraction(k) * x for k, x in zip(freq, pvec)), Fraction(0))
-            total = total + c * _rational(w) * _quarter_phase(phase_arg)
-        return total
+            turns = 0
+            if any(freq):
+                turns = _quarter_turns(sum(k * x for k, x in zip(freq, pvec) if k))
+            for m, (a, b) in c._num.items():
+                for _ in range(turns):  # times i
+                    a, b = -b, a
+                acc = sums.get(m)
+                if acc is None:
+                    sums[m] = [a * w, b * w]
+                else:
+                    acc[0] += a * w
+                    acc[1] += b * w
+        den = lcm(*(q.denominator for pair in sums.values() for q in pair))
+        num = {
+            m: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+            for m, (re, im) in sums.items()
+        }
+        return _reduce(CScalar, den, num)
 
     # -- rendering ---------------------------------------------------------
 

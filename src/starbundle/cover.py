@@ -4,6 +4,11 @@ All branch bookkeeping is integral: for each overlapping pair of charts the
 relative lift (the integer translation making the lifted rectangles meet) is
 unique because chart widths stay below 1/2, and triple lifts are forced by
 pair lifts.  Contractibility is rectangle geometry, checked exactly.
+
+The nerve is built in integer units of 1/den, where den is the lcm of the
+denominators of every chart centre and halfwidth (1/(8n) for the default
+grid): chart bounds, pair lifts and triple intersections are plain integers,
+and only the rectangles of the nerve triples are stored as Fractions.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -56,19 +62,6 @@ class Rect:
             centers.append((lo + hi) / 2)
             widths.append((hi - lo) / 2)
         return Rect(tuple(centers), tuple(widths))
-
-
-def _axis_lifts(c1: Fraction, w1: Fraction, c2: Fraction, w2: Fraction) -> list[int]:
-    """Integers n with (c1-w1, c1+w1) meeting (c2+n-w2, c2+n+w2)."""
-    out = []
-    lo = c1 - w1 - (c2 + w2)
-    hi = c1 + w1 - (c2 - w2)
-    n = int(lo) - 1
-    while n <= int(hi) + 1:
-        if lo < n < hi:
-            out.append(n)
-        n += 1
-    return out
 
 
 class GoodCover:
@@ -134,23 +127,28 @@ class GoodCover:
                 raise ValueError(f"axis {ax}: charts do not wrap the circle")
 
     def _build_nerve(self):
+        # bounds in integer units of 1/den (see the module docstring)
+        den = lcm(*(q.denominator for r in self.charts for q in r.center + r.halfwidth))
+        bounds = []
+        for r in self.charts:
+            cs = [int(c * den) for c in r.center]
+            ws = [int(w * den) for w in r.halfwidth]
+            bounds.append([(c - w, c + w) for c, w in zip(cs, ws)])
         n = len(self.charts)
         pairs = []
         for i, j in combinations(range(n), 2):
             lifts_per_axis = []
-            for ax in range(self.torus.dim):
-                c1, w1 = self.charts[i].center[ax], self.charts[i].halfwidth[ax]
-                c2, w2 = self.charts[j].center[ax], self.charts[j].halfwidth[ax]
-                ns = _axis_lifts(c1, w1, c2, w2)
+            for ax, ((lo1, hi1), (lo2, hi2)) in enumerate(zip(bounds[i], bounds[j])):
+                # integers s with (lo1, hi1) meeting (lo2 + s*den, hi2 + s*den)
+                ns = range((lo1 - hi2) // den + 1, -((lo2 - hi1) // den))
                 if len(ns) > 1:
                     raise ValueError(
                         f"overlap of charts {i},{j} is disconnected on axis {ax}; "
                         "not a good cover"
                     )
                 lifts_per_axis.append(ns)
-            if all(ns for ns in lifts_per_axis):
-                lift = tuple(ns[0] for ns in lifts_per_axis)
-                self._pair_lifts[(i, j)] = lift
+            if all(lifts_per_axis):
+                self._pair_lifts[(i, j)] = tuple(ns[0] for ns in lifts_per_axis)
                 pairs.append((i, j))
         self.pairs = tuple(pairs)
         for i, j in [(i, i) for i in range(n)] + pairs + [(j, i) for i, j in pairs]:
@@ -159,21 +157,29 @@ class GoodCover:
             self._frame_shifts[(i, j)] = MappingProxyType(shift)
         triples = []
         for i, j, k in combinations(range(n), 3):
-            if (i, j) not in self._pair_lifts or (i, k) not in self._pair_lifts:
+            mj = self._pair_lifts.get((i, j))
+            mk = self._pair_lifts.get((i, k))
+            njk = self._pair_lifts.get((j, k))
+            if mj is None or mk is None or njk is None:
                 continue
-            if (j, k) not in self._pair_lifts:
-                continue
-            mj = self._pair_lifts[(i, j)]
-            mk = self._pair_lifts[(i, k)]
-            rect = self.triple_rect(i, j, k)
-            if rect is None:
-                continue
-            # pair lift uniqueness forces consistency; assert it
-            njk = self._pair_lifts[(j, k)]
-            if tuple(a - b for a, b in zip(mk, mj)) != njk:
-                raise AssertionError("triple lift inconsistent with pair lifts")
-            self._triple_rects[(i, j, k)] = rect
-            triples.append((i, j, k))
+            box = []
+            for (lo1, hi1), (lo2, hi2), (lo3, hi3), sj, sk in zip(
+                bounds[i], bounds[j], bounds[k], mj, mk
+            ):
+                lo = max(lo1, lo2 + sj * den, lo3 + sk * den)
+                hi = min(hi1, hi2 + sj * den, hi3 + sk * den)
+                if lo >= hi:
+                    break
+                box.append((lo, hi))
+            else:
+                # pair lift uniqueness forces consistency; assert it
+                if tuple(a - b for a, b in zip(mk, mj)) != njk:
+                    raise AssertionError("triple lift inconsistent with pair lifts")
+                self._triple_rects[(i, j, k)] = Rect(
+                    tuple(Fraction(lo + hi, 2 * den) for lo, hi in box),
+                    tuple(Fraction(hi - lo, 2 * den) for lo, hi in box),
+                )
+                triples.append((i, j, k))
         self.triples = tuple(triples)
 
     # -- nerve queries ------------------------------------------------------------

@@ -257,7 +257,12 @@ class DifferentialForm:
         return DifferentialForm(target, out)
 
     def shift(self, delta: Mapping[str, Fraction]) -> "DifferentialForm":
-        """Translate coefficients: returns the form with coefficients f(u + delta)."""
+        """Translate coefficients: returns the form with coefficients f(u + delta).
+
+        A key of ``delta`` that is not a coordinate raises KeyError."""
+        space = self.manifold.space
+        for name in delta:
+            space.index(name)
         return DifferentialForm(
             self.manifold, {k: v.shift(delta) for k, v in self._terms.items()}
         )

@@ -241,6 +241,12 @@ def glue_multiplicative_connection(
     Cech primitives alpha_i).  The glued forms satisfy the overlap identity
     exactly; the construction needs every pair of charts to overlap so the
     translated integrands are defined chart-wide.
+
+    Every transported form T_ij = alpha_j (in chart i's frame) + d phi_ij is
+    computed, and the charts j with equal T_ij share one product:
+    beta_i = sum over distinct T of T * (sum of their rho_j).  The sum is
+    exact, so this is the same form as the term-by-term sum; with the
+    default ``initial`` every T_ij is alpha_i and one product remains.
     """
     cover = bundle.cover
     if partition.cover is not cover and (
@@ -268,7 +274,7 @@ def glue_multiplicative_connection(
     windows = partition.all_windows()
     left_forms = {}
     for i in range(len(cover.charts)):
-        total = DifferentialForm.zero(torus)
+        grouped: dict[DifferentialForm, ChartFunction] = {}
         for j in range(len(cover.charts)):
             if j == i:
                 transported = initial[i]
@@ -277,7 +283,11 @@ def glue_multiplicative_connection(
                     torus, data.transition(i, j)
                 ).exterior_d()
                 transported = initial[j].shift(cover.frame_shift(i, j)) + dphi
-            total = total + transported.multiply_function(windows[j])
+            acc = grouped.get(transported)
+            grouped[transported] = windows[j] if acc is None else acc + windows[j]
+        total = DifferentialForm.zero(torus)
+        for transported, window in grouped.items():
+            total = total + transported.multiply_function(window)
         left_forms[i] = total
     return GluedConnection(bundle, partition, initial, left_forms)
 

@@ -158,6 +158,8 @@ class PureStarProduct:
         (``_fourier_bidiff``); otherwise as m-fold contracted derivatives
         (``_derivative_bidiff``).  Both give the same exact result.
         """
+        if m < 0:
+            raise ValueError(f"bidifferential order must be >= 0, not {m}")
         if a.space != self.space or b.space != self.space:
             raise ValueError("star-product inputs live on the wrong chart")
         if m == 0:

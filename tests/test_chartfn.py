@@ -5,7 +5,7 @@ import pytest
 from starbundle.chartfn import ChartFunction, ChartSpace
 from starbundle.scalar import CScalar, Scalar
 
-from conftest import random_poly, random_trig
+from conftest import random_cscalar, random_fraction, random_poly, random_trig
 
 R2 = ChartSpace.euclidean(("x", "y"))
 T2 = ChartSpace.torus(("x", "y"))
@@ -120,6 +120,40 @@ def test_evaluate_on_quarter_grid():
     assert v == CScalar(Scalar.rational(Fraction(-3, 4)))
     with pytest.raises(ValueError):
         f.evaluate({"x": Fraction(1, 3), "y": 0})
+
+
+def reference_evaluate(f, point):
+    """Term by term in Fractions: coefficient parts per pi power, times the
+    monomial value, times the quarter phase looked up from the argument."""
+    phases = {Fraction(0): (1, 0), Fraction(1, 4): (0, 1), Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}
+    re, im = {}, {}
+    for (mon, freq), c in f.terms.items():
+        w, arg = Fraction(1), Fraction(0)
+        for name, e, k in zip(f.space.names, mon, freq):
+            w *= Fraction(point[name]) ** e
+            arg += k * Fraction(point[name])
+        pr, pi = phases[arg % 1]
+        for m in set(c.re.terms) | set(c.im.terms):
+            a, b = c.re.terms.get(m, 0), c.im.terms.get(m, 0)
+            re[m] = re.get(m, 0) + w * (a * pr - b * pi)
+            im[m] = im.get(m, 0) + w * (a * pi + b * pr)
+    return CScalar(Scalar(re), Scalar(im))
+
+
+def test_evaluate_matches_fraction_reference(rng):
+    quarter = [Fraction(k, 4) for k in range(-6, 7)]
+    for trial in range(60):
+        scale = random_cscalar(rng)
+        poly = random_poly(T2, rng).scale(scale)
+        trig = random_trig(T2, rng, real=trial % 2 == 0).scale(scale)
+        cases = [
+            (poly, {"x": random_fraction(rng, 9, 7), "y": random_fraction(rng, 9, 7)}),
+            (poly, {"x": rng.randint(-3, 3), "y": rng.randint(-3, 3)}),
+            (trig, {"x": rng.choice(quarter), "y": rng.randint(-2, 2)}),
+            (poly * trig + trig, {"x": rng.choice(quarter), "y": rng.choice(quarter)}),
+        ]
+        for f, point in cases:
+            assert f.evaluate(point) == reference_evaluate(f, point)
 
 
 def test_identify_diagonal():

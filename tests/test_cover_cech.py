@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import ceil, floor, gcd
 
 import pytest
 
@@ -46,6 +47,90 @@ def test_frame_shift_is_minus_the_pair_lift():
     apart = next((i, j) for i in range(16) for j in range(i + 1, 16) if (i, j) not in cover.pairs)
     with pytest.raises(KeyError):
         cover.frame_shift(*apart)
+
+
+def reference_nerve(cover):
+    """Pair lifts and triple rectangles from plain Fraction geometry: the
+    integers s with (lo1, hi1) meeting (lo2 + s, hi2 + s) on every axis,
+    and the triple intersections in the first chart's frame."""
+    charts, dim = cover.charts, cover.torus.dim
+    lifts = {}
+    for i, j in combinations(range(len(charts)), 2):
+        per_axis = []
+        for ax in range(dim):
+            (lo1, hi1), (lo2, hi2) = charts[i].bounds(ax), charts[j].bounds(ax)
+            per_axis.append(
+                [s for s in range(floor(lo1 - hi2), ceil(hi1 - lo2) + 1) if lo1 < hi2 + s and lo2 + s < hi1]
+            )
+        assert all(len(ns) <= 1 for ns in per_axis)
+        if all(per_axis):
+            lifts[(i, j)] = tuple(ns[0] for ns in per_axis)
+    triples = {}
+    for i, j, k in combinations(range(len(charts)), 3):
+        if not {(i, j), (i, k), (j, k)} <= set(lifts):
+            continue
+        box = []
+        for ax in range(dim):
+            parts = [charts[i].bounds(ax)]
+            parts += [tuple(b + lifts[(i, m)][ax] for b in charts[m].bounds(ax)) for m in (j, k)]
+            box.append((max(lo for lo, _ in parts), min(hi for _, hi in parts)))
+        if all(lo < hi for lo, hi in box):
+            triples[(i, j, k)] = Rect(
+                tuple((lo + hi) / 2 for lo, hi in box), tuple((hi - lo) / 2 for lo, hi in box)
+            )
+    return lifts, triples
+
+
+def _mixed_cover():
+    """A 3x3 product of unequal charts with mixed denominators, plus one
+    chart whose centre lies outside [0, 1)."""
+    xs = [(Fraction(0), Fraction(5, 24)), (Fraction(2, 7), Fraction(1, 8)), (Fraction(3, 5), Fraction(9, 40))]
+    ys = [(Fraction(1, 6), Fraction(3, 14)), (Fraction(1, 2), Fraction(1, 5)), (Fraction(5, 6), Fraction(2, 9))]
+    charts = [Rect((cx, cy), (wx, wy)) for cx, wx in xs for cy, wy in ys]
+    charts.append(Rect((Fraction(-10, 11), Fraction(20, 13)), (Fraction(1, 9), Fraction(1, 10))))
+    return GoodCover(T2, charts)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n: GoodCover.grid(T2, n) for n in range(3, 7)]
+    + [
+        lambda: GoodCover.grid(T2, 3, Fraction(2, 9)),
+        lambda: GoodCover.grid(T2, 3, Fraction(1, 3)),  # some triples touch at a point
+        lambda: GoodCover.grid(T2, 3, Fraction(7, 30)),
+        lambda: GoodCover.grid(T2, 4, Fraction(3, 16)),
+        lambda: GoodCover.grid(T2, 5, Fraction(3, 20)),
+        lambda: GoodCover.grid(T2, 6, Fraction(1, 9)),
+        _mixed_cover,
+    ],
+    ids=[f"grid{n}" for n in range(3, 7)]
+    + ["grid3-2/9", "grid3-1/3", "grid3-7/30", "grid4-3/16", "grid5-3/20", "grid6-1/9", "mixed"],
+)
+def test_nerve_matches_fraction_reference(make):
+    cover = make()
+    lifts, triples = reference_nerve(cover)
+    assert cover.pairs == tuple(lifts)
+    for (i, j), lift in lifts.items():
+        assert cover.pair_lift(i, j) == lift
+    assert triples and cover.triples == tuple(triples)
+    for key, rect in triples.items():
+        assert cover.triple_rect(*key) == rect
+
+
+def test_disconnected_overlap_rejected():
+    # 4 * 5/12 > 1: two lifts of a neighbouring chart meet it
+    with pytest.raises(ValueError, match="disconnected on axis"):
+        GoodCover.grid(T2, 3, Fraction(5, 12))
+    # charts 0 and 1 miss each other on axis 0, yet axis 1 is still checked
+    w = (Fraction(1, 8), Fraction(5, 12))
+    charts = [
+        Rect((Fraction(0), Fraction(0)), w),
+        Rect((Fraction(1, 2), Fraction(1, 3)), w),
+        Rect((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 6), Fraction(1, 5))),
+        Rect((Fraction(3, 4), Fraction(1, 2)), (Fraction(1, 6), Fraction(1, 5))),
+    ]
+    with pytest.raises(ValueError, match="charts 0,1 is disconnected on axis 1"):
+        GoodCover(T2, charts)
 
 
 def test_grid_validation_errors():

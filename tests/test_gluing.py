@@ -144,6 +144,28 @@ def test_varied_initial_still_consistent():
     assert curv == bundle.data.omega + primitive.exterior_d()
 
 
+@pytest.mark.parametrize("varied", [False, True], ids=["default", "varied"])
+def test_glue_matches_ungrouped_sum(varied):
+    """beta_i against sum_j T_ij * rho_j, one product per chart pair."""
+    bundle = make_bundle(Scalar.pi(1, Fraction(2, 3)))
+    part = PartitionOfUnity.for_grid(COVER)
+    initial = varied_initial(bundle) if varied else bundle.data.alphas
+    conn = glue_multiplicative_connection(bundle, part, initial=initial if varied else None)
+    windows = part.all_windows()
+    for i in range(len(COVER.charts)):
+        expected = DifferentialForm.zero(T2)
+        transported = set()
+        for j in range(len(COVER.charts)):
+            t = initial[i]
+            if j != i:
+                dphi = DifferentialForm.from_function(T2, bundle.data.transition(i, j)).exterior_d()
+                t = initial[j].shift(COVER.frame_shift(i, j)) + dphi
+            transported.add(t)
+            expected = expected + t.multiply_function(windows[j])
+        assert len(transported) == (len(COVER.charts) if varied else 1)
+        assert conn.left_forms[i] == expected
+
+
 def test_two_partitions_differ_by_global_one_form():
     bundle = make_bundle(Fraction(3, 7))
     initial = varied_initial(bundle)
