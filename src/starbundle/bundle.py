@@ -126,10 +126,11 @@ class LocalLineBundle:
 
     def _phase_at(self, i: int, j: int, anchor: int, point: Sequence[Fraction]) -> Scalar:
         """phi_ij evaluated at a point given in the anchor chart's frame."""
-        # phi.shift(delta)(x) = phi(x + delta): move the point, not phi
-        delta = self.cover.frame_shift(anchor, i)
+        # phi read in the anchor frame is phi.shift(-lift), and
+        # phi.shift(-lift)(x) = phi(x - lift): move the point, not phi
+        lift = self.cover.pair_lift(anchor, i)
         value = self.data.transition(i, j).evaluate(
-            {n: Fraction(p) + delta[n] for n, p in zip(self.torus.names, point)}
+            {n: p - s for n, p, s in zip(self.torus.names, point, lift)}
         )
         if not value.is_real():
             raise AssertionError("transition phase must be real")
@@ -200,8 +201,11 @@ class LocalLineBundle:
 
         For each nerve triple, germs u, v, w are trivialized in the three
         different charts, so the comparison exercises every gluing; the two
-        orders agree iff the triple sums are constant.
+        orders agree iff the triple sums are constant.  A chain of germs needs
+        four points, so fewer raise ValueError rather than check nothing.
         """
+        if points_per_triple < 4:
+            raise ValueError(f"points_per_triple must be >= 4, got {points_per_triple}")
         violations = []
         for i, j, k in self.cover.triples:
             rect = self.cover.triple_rect(i, j, k)

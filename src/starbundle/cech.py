@@ -39,10 +39,18 @@ class CechConnectionData:
     """Per-chart 1-forms, overlap transitions, triple constants for omega.
 
     Immutable: the three maps are read-only views of private copies, so the
-    report of ``verify`` is computed once and kept.
+    report of ``verify`` is computed once and kept.  Two private tables
+    hold what ``verify``, the bundle checks and the glue all read: the
+    triple sums (``triple_sum``) and the differentials d phi_ij
+    (``differential``).  Each entry is built on first use from this
+    instance's own transitions and kept; nothing here can change, so no
+    entry goes stale, and the tables die with the instance.
     """
 
-    __slots__ = ("cover", "omega", "alphas", "transitions", "triple_constants", "_report")
+    __slots__ = (
+        "cover", "omega", "alphas", "transitions", "triple_constants",
+        "_report", "_sums", "_dphis", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -58,6 +66,8 @@ class CechConnectionData:
         object.__setattr__(self, "transitions", MappingProxyType(dict(transitions)))
         object.__setattr__(self, "triple_constants", MappingProxyType(dict(triple_constants)))
         object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_sums", {})
+        object.__setattr__(self, "_dphis", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CechConnectionData is immutable")
@@ -87,7 +97,18 @@ class CechConnectionData:
 
     def triple_sum(self, i: int, j: int, k: int) -> ChartFunction:
         """phi_ij + phi_jk + phi_ki in the frame anchored at chart i."""
-        return _triple_sum(self.cover, self.transitions, i, j, k)
+        total = self._sums.get((i, j, k))
+        if total is None:
+            total = self._sums[(i, j, k)] = _triple_sum(self.cover, self.transitions, i, j, k)
+        return total
+
+    def differential(self, i: int, j: int) -> DifferentialForm:
+        """d(phi_ij) in chart i's frame."""
+        dphi = self._dphis.get((i, j))
+        if dphi is None:
+            dphi = DifferentialForm.from_function(self.torus, self.transition(i, j)).exterior_d()
+            self._dphis[(i, j)] = dphi
+        return dphi
 
     # -- verification -----------------------------------------------------
 
@@ -95,10 +116,9 @@ class CechConnectionData:
         """The overlaps (i, j) where forms[i] - forms[j] != d(phi_ij), with
         forms[j] moved into chart i's frame."""
         failures = []
-        for (i, j), phi in self.transitions.items():
+        for i, j in self.transitions:
             form_j_here = forms[j].shift(self.cover.frame_shift(i, j))
-            dphi = DifferentialForm.from_function(self.torus, phi).exterior_d()
-            if forms[i] - form_j_here != dphi:
+            if forms[i] - form_j_here != self.differential(i, j):
                 failures.append((i, j))
         return failures
 
@@ -179,14 +199,15 @@ def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:
         transitions[(i, j)] = phi
         transitions[(j, i)] = (-phi).shift(cover.frame_shift(j, i))
 
+    sums = {triple: _triple_sum(cover, transitions, *triple) for triple in cover.triples}
     consts: dict[tuple[int, int, int], Scalar] = {}
-    for i, j, k in cover.triples:
-        total = _triple_sum(cover, transitions, i, j, k)
+    for triple, total in sums.items():
         if not total.is_constant():
-            raise AssertionError(f"triple sum {i},{j},{k} is not constant: {total}")
-        consts[(i, j, k)] = total.constant_value().re
+            raise AssertionError(f"triple sum {triple} is not constant: {total}")
+        consts[triple] = total.constant_value().re
 
     data = CechConnectionData(cover, omega, alphas, transitions, consts)
+    data._sums.update(sums)  # built from the same transitions the datum holds
     report = data.verify()
     if not report.passed:  # construction is supposed to be exact
         raise AssertionError(f"descent solution failed verification: {report.failures}")

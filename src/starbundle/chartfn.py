@@ -81,29 +81,37 @@ class ChartSpace:
         return mapping
 
 
-_QUARTER_PHASES = (
-    _new(CScalar, 1, {0: (1, 0)}),
-    _new(CScalar, 1, {0: (0, 1)}),
-    _new(CScalar, 1, {0: (-1, 0)}),
-    _new(CScalar, 1, {0: (0, -1)}),
-)
-
-
-def _quarter_turns(q: Fraction) -> int:
-    """t in 0..3 with exp(2*pi*i*q) = i**t, for q in (1/4)Z; these are the
-    only exactly representable unit phases in the coefficient field."""
-    t = 4 * q
-    if t.denominator != 1:
+def _quarter_turns(n: int, d: int) -> int:
+    """t in 0..3 with exp(2*pi*i*n/d) = i**t, for n/d in (1/4)Z; these are
+    the only exactly representable unit phases in the coefficient field."""
+    if 4 * n % d:
         raise ValueError(
-            f"phase exp(2*pi*i*{q % 1}) is irrational over the scalar field; "
+            f"phase exp(2*pi*i*{Fraction(n, d) % 1}) is irrational over the scalar field; "
             "only quarter-integer arguments are exact"
         )
-    return t.numerator % 4
+    return 4 * n // d % 4
 
 
-def _rational(q: Fraction) -> CScalar:
-    """The real CScalar q, for a nonzero Fraction q, built trusted."""
-    return _new(CScalar, q.denominator, {0: (q.numerator, 0)})
+def _exact(name: str, v) -> int | Fraction:
+    """A coordinate value as an int, or a Fraction when it is not integral."""
+    if isinstance(v, (int, Fraction)):
+        return v.numerator if v.denominator == 1 else v
+    raise TypeError(f"coordinate {name!r} takes an int or a Fraction, not {type(v).__name__}")
+
+
+def _lincomb(parts) -> CScalar:
+    """The sum of w * i**t * (num over den) over ``parts`` (den, num, w, t)
+    with integer w: one lcm, integer numerators, one ``_reduce``."""
+    den = lcm(*(part[0] for part in parts))
+    out: dict[int, tuple[int, int]] = {}
+    for d, num, w, t in parts:
+        s = w * (den // d)
+        for m, (a, b) in num.items():
+            for _ in range(t):  # times i
+                a, b = -b, a
+            p = out.get(m)
+            out[m] = (a * s, b * s) if p is None else (p[0] + a * s, p[1] + b * s)
+    return _reduce(CScalar, den, out)
 
 
 def _chartfn(space: ChartSpace, terms: dict) -> "ChartFunction":
@@ -403,74 +411,75 @@ class ChartFunction:
     def shift(self, delta: Mapping[str, Fraction]) -> "ChartFunction":
         """Return g with g(u) = f(u + delta).
 
-        Monomials expand binomially; Fourier modes pick up the exact unit
-        phase exp(2*pi*i*k*delta), so k*delta must be quarter-integral (frame
-        translations in this package are always by integer lattice vectors).
-        A key of ``delta`` that is not a coordinate raises KeyError.
+        Each delta is an int or a Fraction (TypeError otherwise), and a key
+        that is not a coordinate raises KeyError; a zero delta returns f.
+        Monomials expand binomially and Fourier modes pick up the exact unit
+        phase exp(2*pi*i*k*delta), so k*delta must be quarter-integral.  When
+        every delta is an integer, as for the frame translations of this
+        package (integer lattice vectors), the binomial weights are integers
+        that scale the coefficient numerators directly, every phase is 1 and
+        no Fraction is formed.  Each output coefficient is reduced once.
         """
         dvec = [0] * self.space.dim
         for name, d in delta.items():
-            dvec[self.space.index(name)] = d if type(d) is Fraction else Fraction(d)
-        out: dict[tuple[tuple[int, ...], tuple[int, ...]], CScalar] = {}
+            dvec[self.space.index(name)] = _exact(name, d)
+        if not any(dvec):
+            return self
+        parts: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
         for (mon, freq), c in self._terms.items():
-            phase_arg = sum(k * d for k, d in zip(freq, dvec) if k)
-            coeff = c * _QUARTER_PHASES[_quarter_turns(phase_arg)] if phase_arg else c
+            turns = 0
+            if any(freq):
+                arg = sum(k * d for k, d in zip(freq, dvec) if k)
+                turns = _quarter_turns(arg.numerator, arg.denominator)
             # expand prod (u_i + d_i)^{e_i}; every weight w is nonzero
-            keys: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
+            keys: list[tuple[tuple[int, ...], int | Fraction]] = [((), 1)]
             for e, d in zip(mon, dvec):
                 if not d:
                     keys = [(prefix + (e,), w) for prefix, w in keys]
                     continue
-                new_keys = []
-                for prefix, w in keys:
-                    for r in range(e + 1):
-                        new_keys.append((prefix + (r,), w * comb(e, r) * d ** (e - r)))
-                keys = new_keys
+                keys = [
+                    (prefix + (r,), w * comb(e, r) * d ** (e - r))
+                    for prefix, w in keys
+                    for r in range(e + 1)
+                ]
             for mon2, w in keys:
-                key = (mon2, freq)
-                acc = out.get(key)
-                add = coeff * _rational(w)
-                out[key] = add if acc is None else acc + add
-        return _chartfn(self.space, out)
+                part = (c._den * w.denominator, c._num, w.numerator, turns)
+                parts.setdefault((mon2, freq), []).append(part)
+        return _chartfn(self.space, {key: _lincomb(p) for key, p in parts.items()})
 
     def evaluate(self, point: Mapping[str, Fraction]) -> CScalar:
-        """Exact evaluation at a rational point.
+        """Exact value at a rational point.
 
-        Fourier factors require frequency*coordinate to be quarter-integral.
-        Every coordinate of the chart must be given (KeyError otherwise).
+        Every coordinate must be given, as an int or a Fraction: a missing
+        or unknown coordinate raises KeyError, any other value TypeError.
+        The point is written as integers n over one denominator D; a term
+        contributes its coefficient times the integer n^e over D^|e|, turned
+        by i**t where exp(2*pi*i*k.n/D) = i**t (ValueError when k.n/D is not
+        quarter-integral), and the sum is reduced once.
         """
         names = self.space.names
+        for name in point:
+            self.space.index(name)
         try:
-            pvec = [Fraction(point[n]) for n in names]
+            coords = [_exact(n, point[n]) for n in names]
         except KeyError as err:
             raise KeyError(f"point has no coordinate {err.args[0]!r} of chart {names}") from None
-        # per pi power, the real and imaginary parts as Fractions
-        sums: dict[int, list[Fraction]] = {}
+        den = lcm(*(x.denominator for x in coords))
+        nvec = [x.numerator * (den // x.denominator) for x in coords]
+        parts = []
         for (mon, freq), c in self._terms.items():
-            w = Fraction(1, c._den)
-            for e, x in zip(mon, pvec):
+            w, degree = 1, 0
+            for e, x in zip(mon, nvec):
                 if e:
                     w *= x**e
+                    degree += e
             if not w:
                 continue
             turns = 0
             if any(freq):
-                turns = _quarter_turns(sum(k * x for k, x in zip(freq, pvec) if k))
-            for m, (a, b) in c._num.items():
-                for _ in range(turns):  # times i
-                    a, b = -b, a
-                acc = sums.get(m)
-                if acc is None:
-                    sums[m] = [a * w, b * w]
-                else:
-                    acc[0] += a * w
-                    acc[1] += b * w
-        den = lcm(*(q.denominator for pair in sums.values() for q in pair))
-        num = {
-            m: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
-            for m, (re, im) in sums.items()
-        }
-        return _reduce(CScalar, den, num)
+                turns = _quarter_turns(sum(k * x for k, x in zip(freq, nvec) if k), den)
+            parts.append((c._den * den**degree, c._num, w, turns))
+        return _lincomb(parts)
 
     # -- rendering ---------------------------------------------------------
 

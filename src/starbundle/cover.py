@@ -91,6 +91,8 @@ class GoodCover:
         if n < 3:
             raise ValueError("grid covers need n >= 3 per axis to stay good")
         dim = torus.dim
+        if halfwidth is not None and not isinstance(halfwidth, (int, Fraction)):
+            raise TypeError(f"halfwidth must be a Fraction, not {type(halfwidth).__name__}")
         w = halfwidth if halfwidth is not None else Fraction(5, 8 * n)
         if not Fraction(1, 2 * n) < w < Fraction(1, 2):
             raise ValueError("halfwidth must cover the grid gap and embed")

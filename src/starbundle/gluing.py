@@ -279,10 +279,7 @@ def glue_multiplicative_connection(
             if j == i:
                 transported = initial[i]
             else:
-                dphi = DifferentialForm.from_function(
-                    torus, data.transition(i, j)
-                ).exterior_d()
-                transported = initial[j].shift(cover.frame_shift(i, j)) + dphi
+                transported = initial[j].shift(cover.frame_shift(i, j)) + data.differential(i, j)
             acc = grouped.get(transported)
             grouped[transported] = windows[j] if acc is None else acc + windows[j]
         total = DifferentialForm.zero(torus)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .chartfn import ChartSpace
@@ -23,10 +23,14 @@ def _default_torus_names(n: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Torus:
-    """Flat torus R^n / Z^n with unit lattice and unit volume."""
+    """Flat torus R^n / Z^n with unit lattice and unit volume.
+
+    ``space`` is built once, at construction (so duplicate names raise
+    ValueError there); it is left out of equality, hashing and repr."""
 
     n: int
     names: Optional[tuple[str, ...]] = None
+    space: ChartSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -35,14 +39,11 @@ class Torus:
             object.__setattr__(self, "names", _default_torus_names(self.n))
         if len(self.names) != self.n:
             raise ValueError("coordinate names must match dimension")
+        object.__setattr__(self, "space", ChartSpace.torus(self.names))
 
     @property
     def dim(self) -> int:
         return self.n
-
-    @property
-    def space(self) -> ChartSpace:
-        return ChartSpace.torus(self.names)
 
     @property
     def covectors(self) -> tuple[str, ...]:

@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+from starbundle.bundle import build_local_line_bundle
+from starbundle.cech import constant_two_form, solve_cech
 from starbundle.chartfn import ChartFunction, ChartSpace
+from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
 from starbundle.manifold import Torus
 from starbundle.poisson import PoissonStructure
@@ -19,6 +22,13 @@ T2 = Torus(2)
 X = ChartFunction.variable(T2.space, "x")
 R2 = ChartSpace.euclidean(("x", "y"))
 U = ChartFunction.variable(R2, "x")
+
+
+def triple_check(points_per_triple):
+    cover = GoodCover.grid(T2, 3)
+    bundle = build_local_line_bundle(solve_cech(constant_two_form(T2, Fraction(1, 3)), cover))
+    return bundle.check_triple_associativity(points_per_triple=points_per_triple)
+
 
 CASES = [
     (
@@ -44,6 +54,45 @@ CASES = [
         lambda: X.evaluate({"y": 0}),
         KeyError,
         "no coordinate 'x' of chart ('x', 'y')",
+    ),
+    (
+        "chartfn-evaluate-float-coordinate",
+        lambda: X.evaluate({"x": 0.5, "y": 0}),
+        TypeError,
+        "coordinate 'x' takes an int or a Fraction, not float",
+    ),
+    (
+        "chartfn-evaluate-unknown-key",
+        lambda: X.evaluate({"x": 1, "y": 0, "q": 3}),
+        KeyError,
+        "unknown coordinate 'q'",
+    ),
+    (
+        "chartfn-shift-float-delta",
+        lambda: X.shift({"x": 0.5}),
+        TypeError,
+        "coordinate 'x' takes an int or a Fraction, not float",
+    ),
+    (
+        "torus-duplicate-names",
+        lambda: Torus(2, ("x", "x")),
+        ValueError,
+        "duplicate coordinate names",
+    ),
+    (
+        "grid-float-halfwidth",
+        lambda: GoodCover.grid(T2, 3, 0.2),
+        TypeError,
+        "halfwidth must be a Fraction, not float",
+    ),
+    *(
+        (
+            f"triple-associativity-{k}-points",
+            lambda k=k: triple_check(k),
+            ValueError,
+            "points_per_triple must be >= 4",
+        )
+        for k in (3, 0, -1)
     ),
     (
         "bidiff-negative-order",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -142,18 +143,77 @@ def reference_evaluate(f, point):
 
 def test_evaluate_matches_fraction_reference(rng):
     quarter = [Fraction(k, 4) for k in range(-6, 7)]
+    odd_quarter = [Fraction(k, 4) for k in (-5, -3, -1, 1, 3, 5)]
     for trial in range(60):
         scale = random_cscalar(rng)
         poly = random_poly(T2, rng).scale(scale)
         trig = random_trig(T2, rng, real=trial % 2 == 0).scale(scale)
+        # a mode along x only, so y may take any denominator
+        mixed = poly * ChartFunction.fourier(T2, {"x": rng.choice((-3, -1, 1, 2))}) + poly
         cases = [
             (poly, {"x": random_fraction(rng, 9, 7), "y": random_fraction(rng, 9, 7)}),
             (poly, {"x": rng.randint(-3, 3), "y": rng.randint(-3, 3)}),
+            (poly, {"x": Fraction(rng.randint(-9, 9), 3), "y": Fraction(rng.randint(-9, 9), 10)}),
             (trig, {"x": rng.choice(quarter), "y": rng.randint(-2, 2)}),
+            (trig, {"x": rng.choice(odd_quarter), "y": Fraction(rng.choice((-1, 1)), 2)}),
             (poly * trig + trig, {"x": rng.choice(quarter), "y": rng.choice(quarter)}),
+            (mixed, {"x": rng.choice(odd_quarter), "y": random_fraction(rng, 9, 7)}),
         ]
         for f, point in cases:
             assert f.evaluate(point) == reference_evaluate(f, point)
+        # an irrational phase still raises, whatever else the point holds
+        if not poly.is_zero():
+            with pytest.raises(ValueError, match="irrational"):
+                mixed.evaluate({"x": Fraction(1, 5), "y": Fraction(1, 3)})
+
+
+def reference_shift(f, delta):
+    """(u + d)^e expanded term by term in Fractions, each mode turned by the
+    quarter phase of k.d looked up from its argument."""
+    phases = {Fraction(0): (1, 0), Fraction(1, 4): (0, 1), Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}
+    dvec = [Fraction(delta.get(name, 0)) for name in f.space.names]
+    out = {}
+    for (mon, freq), c in f.terms.items():
+        pr, pi = phases[sum(k * d for k, d in zip(freq, dvec)) % 1]
+        expansion = {(): Fraction(1)}
+        for e, d in zip(mon, dvec):
+            expansion = {
+                prefix + (r,): w * comb(e, r) * d ** (e - r)
+                for prefix, w in expansion.items()
+                for r in range(e + 1)
+            }
+        for mon2, w in expansion.items():
+            parts = out.setdefault((mon2, freq), {})
+            for m in set(c.re.terms) | set(c.im.terms):
+                a, b = c.re.terms.get(m, 0), c.im.terms.get(m, 0)
+                re, im = parts.get(m, (0, 0))
+                parts[m] = (re + w * (a * pr - b * pi), im + w * (a * pi + b * pr))
+    return ChartFunction(
+        f.space,
+        {
+            key: CScalar(Scalar({m: re for m, (re, _) in parts.items()}),
+                         Scalar({m: im for m, (_, im) in parts.items()}))
+            for key, parts in out.items()
+        },
+    )
+
+
+def test_shift_matches_fraction_reference(rng):
+    integer_deltas = [
+        {}, {"x": 0, "y": Fraction(0)}, {"x": -1}, {"y": -3}, {"x": 2, "y": -1},
+        {"x": Fraction(-2), "y": 3},
+    ]
+    for trial in range(30):
+        poly = random_poly(T2, rng).scale(random_cscalar(rng))
+        trig = random_trig(T2, rng, real=trial % 2 == 0)
+        for f in (poly, trig, poly * trig + poly):
+            for delta in integer_deltas:
+                assert f.shift(delta) == reference_shift(f, delta)
+            quarter = {"x": Fraction(rng.randint(-7, 7), 4), "y": rng.randint(-2, 2)}
+            assert f.shift(quarter) == reference_shift(f, quarter)
+        loose = {"x": random_fraction(rng, 9, 7), "y": -2}
+        assert poly.shift(loose) == reference_shift(poly, loose)
+        assert poly.shift({"x": 0}) is poly
 
 
 def test_identify_diagonal():
