@@ -11,6 +11,15 @@ from typing import Sequence
 from .chartfn import ChartFunction, ChartSpace, CoeffLike
 
 
+def _check_order(n, what: str) -> int:
+    """``n`` when it is an int >= 0; a named TypeError or ValueError if not."""
+    if not isinstance(n, int):
+        raise TypeError(f"{what} must be an int, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0, not {n}")
+    return n
+
+
 class FormalSeries:
     __slots__ = ("space", "coeffs")
 
@@ -33,12 +42,12 @@ class FormalSeries:
     def constant(f: ChartFunction, K: int) -> "FormalSeries":
         """Embed a chart function as an order-0 series truncated at K."""
         zero = ChartFunction.zero(f.space)
-        return FormalSeries(f.space, [f] + [zero] * K)
+        return FormalSeries(f.space, [f] + [zero] * _check_order(K, "truncation order K"))
 
     @staticmethod
     def zero(space: ChartSpace, K: int) -> "FormalSeries":
         z = ChartFunction.zero(space)
-        return FormalSeries(space, [z] * (K + 1))
+        return FormalSeries(space, [z] * (_check_order(K, "truncation order K") + 1))
 
     @staticmethod
     def unit(space: ChartSpace, K: int) -> "FormalSeries":

@@ -15,29 +15,39 @@ by 2*pi*i*k_i, so the operator has the closed form
     B_m(e_k, e_l) = (-4*pi^2 * k.Pi.l)^m / m! * e_{k+l}.
 
 ``PureStarProduct.bidiff`` uses it whenever both arguments are pure Fourier
-sums; any monomial factor sends B_m through iterated derivatives, the
-general path.  Both give the same exact result.
+sums.  Any monomial factor sends B_m through the general path, which works
+on terms rather than on derivative functions.  A term x^a * e_k of f has
+d^g (x^a * e_k) = sum_b w * (i*pi)^s * x^(a-b) * e_k with integer weights w
+(falling factorials times (2k)^s by Leibniz, s = |g - b|), so each operand's
+d^g is a *term map*: source term -> output term, w, s.  B_m then sums, per
+output term, coeff * w_a * w_b * (i*pi)^(s_a+s_b) * a_t b_u over the
+multisets of m Pi entries, with every a_t b_u formed once as integer
+numerators over one denominator, and reduces each output coefficient once.
+Both paths give the same exact result.
 
 ``multiply`` calls ``bidiff`` once per order on the same coefficient pairs,
 so each ``multiply`` call keeps one work table (``_Work``) that its
-``bidiff`` calls share: the iterated derivatives of every operand, the
-multisets of Pi entries with their weights for each m, and the Fourier
-pairs of each (a, b) grouped by k+l and k.Pi.l.  The table is passed in a
-context variable that ``multiply`` resets before it returns, so nothing
-outlives the call; a ``bidiff`` called outside ``multiply`` builds its own.
+``bidiff`` calls share: the term maps of every operand, the pair products
+of every (a, b), the multisets of Pi entries with their weights for each
+m, and the Fourier pairs of each (a, b) grouped by k+l and k.Pi.l.  The
+table is passed in a context variable that ``multiply`` resets before it
+returns, so nothing outlives the call; a ``bidiff`` called outside
+``multiply`` builds its own.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from operator import add
+import itertools
+from math import comb, lcm, perm, prod
+from operator import add, ge, sub
 from typing import Sequence
 
 from .chartfn import ChartFunction, _chartfn
 from .poisson import PoissonStructure
-from .scalar import CScalar, Scalar, _new
-from .series import FormalSeries
+from .scalar import CScalar, Scalar, _mul, _new, _reduce
+from .series import FormalSeries, _check_order
 
 StarInput = ChartFunction | FormalSeries
 
@@ -45,37 +55,96 @@ _MINUS_FOUR_PI2 = _new(Scalar, 1, {2: (-4, 0)})
 _ONE = _new(CScalar, 1, {0: (1, 0)})
 
 
-def _bump(order: tuple[int, ...], i: int, by: int = 1) -> tuple[int, ...]:
-    return order[:i] + (order[i] + by,) + order[i + 1 :]
+def _bump(order: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return order[:i] + (order[i] + 1,) + order[i + 1 :]
+
+
+def _numerators(c: CScalar, scale: int) -> list:
+    """c's numerators times ``scale``, as [(pi power, re, im)]."""
+    return [(k, x * scale, y * scale) for k, (x, y) in c._num.items()]
+
+
+def _term_map(f: ChartFunction, order: tuple[int, ...]) -> list:
+    """d^order f as [(t, key, w, s)]: term t of f puts w * (i*pi)^s times its
+    coefficient at ``key``, with w an integer.  By Leibniz, an axis with
+    exponent e, frequency k and g derivatives yields x^(e-b) times
+    C(g, b) * e!/(e-b)! * (2k)^(g-b) * (i*pi)^(g-b) for each b <= min(e, g),
+    only b = g when k = 0."""
+    out = []
+    for t, (mon, freq) in enumerate(f._terms):
+        if not any(freq):  # a monomial: the falling factorials e!/(e-g)!
+            if all(map(ge, mon, order)):
+                out.append((t, (tuple(map(sub, mon, order)), freq), prod(map(perm, mon, order)), 0))
+            continue
+        axes = [
+            [
+                (e - b, comb(g, b) * perm(e, b) * (2 * k) ** (g - b), g - b)
+                for b in range(min(e, g) + 1)
+                if k or b == g
+            ]
+            for e, k, g in zip(mon, freq, order)
+        ]
+        for picks in itertools.product(*axes):
+            w, s = 1, 0
+            for _, wi, si in picks:
+                w *= wi
+                s += si
+            out.append((t, (tuple([e for e, _, _ in picks]), freq), w, s))
+    return out
+
+
+def _sum(space, parts: list[ChartFunction]) -> ChartFunction:
+    """The sum of ``parts`` in one dict; a single nonzero part is returned."""
+    parts = [f for f in parts if f._terms]
+    if len(parts) == 1:
+        return parts[0]
+    out = dict(parts[0]._terms) if parts else {}
+    for f in parts[1:]:
+        for key, c in f._terms.items():
+            acc = out.get(key)
+            out[key] = c if acc is None else acc + c
+    return _chartfn(space, out)
 
 
 class _Work:
     """What the ``bidiff`` calls of one ``multiply`` share, each entry built
     when an order first needs it.  Operands are keyed by ``id`` and held in
-    ``operands``, so no id is reused while the table lives."""
+    ``operands``, so no id is reused while the table lives.
+
+    The general path reads the term map of each operand and derivative
+    order (``_term_map``) and the pair products a_t b_u of each (a, b),
+    which every order m reuses; the Fourier path reads the pair groups and
+    the powers of w."""
 
     def __init__(self, product: "PureStarProduct"):
         self.product = product
         self.entries = [(i, j, CScalar.coerce(p)) for i, j, p in product.poisson.nonzero_entries()]
         self.operands: dict = {}  # id(f) -> f
-        self.derivatives: dict = {}  # (id(f), order) -> d^order f
+        self.maps: dict = {}  # (id(f), order) -> _term_map(f, order)
+        self.products: dict = {}  # (id(a), id(b)) -> (den, rows)
         zero = (0,) * product.space.dim
         # m -> [(order on a, order on b, coeff, last entry, its run length)]
         self.multisets: dict = {0: [(zero, zero, _ONE, 0, 0)]}
         self.pairs: dict = {}  # (id(a), id(b)) -> {ns: {k+l: sum of a_k b_l}}
         self.powers: dict = {}  # ns -> [w^m/m! for m = 0, 1, ...], None for s = 0
 
-    def derivative(self, f: ChartFunction, order: tuple[int, ...]) -> ChartFunction:
-        """d^order f, each iterated derivative taken once per table."""
-        if not any(order):
-            return f
-        key = (id(f), order)
-        got = self.derivatives.get(key)
+    def term_map(self, f: ChartFunction, order: tuple[int, ...]) -> list:
+        got = self.maps.get((id(f), order))
         if got is None:
             self.operands[id(f)] = f
-            i = next(k for k, o in enumerate(order) if o)
-            got = self.derivative(f, _bump(order, i, -1)).derive(f.space.names[i])
-            self.derivatives[key] = got
+            got = self.maps[(id(f), order)] = _term_map(f, order)
+        return got
+
+    def pair_products(self, a: ChartFunction, b: ChartFunction) -> tuple:
+        """(den, rows): rows[t][u] is a_t b_u as [(pi power, re, im)] of
+        integer numerators over den, the lcm of the products' denominators."""
+        got = self.products.get((id(a), id(b)))
+        if got is None:
+            self.operands[id(a)], self.operands[id(b)] = a, b
+            rows = [[_mul(x, y) for y in b._terms.values()] for x in a._terms.values()]
+            den = lcm(*(p._den for row in rows for p in row))
+            rows = [[_numerators(p, den // p._den) for p in row] for row in rows]
+            got = self.products[(id(a), id(b))] = (den, rows)
         return got
 
     def orders(self, m: int) -> list:
@@ -158,8 +227,7 @@ class PureStarProduct:
         (``_fourier_bidiff``); otherwise as m-fold contracted derivatives
         (``_derivative_bidiff``).  Both give the same exact result.
         """
-        if m < 0:
-            raise ValueError(f"bidifferential order must be >= 0, not {m}")
+        _check_order(m, "bidifferential order")
         if a.space != self.space or b.space != self.space:
             raise ValueError("star-product inputs live on the wrong chart")
         if m == 0:
@@ -169,27 +237,48 @@ class PureStarProduct:
         return self._derivative_bidiff(m, a, b)
 
     def _derivative_bidiff(self, m: int, a: ChartFunction, b: ChartFunction) -> ChartFunction:
-        """B_m(a, b) for m >= 1 from iterated derivatives; any inputs.
+        """B_m(a, b) for m >= 1 from the term maps; any inputs.
 
-        Sums coeff * (d^order_a a)(d^order_b b) over the multisets of m Pi
-        entries, term pair by term pair, into one dict."""
+        B_m sums coeff * (d^order_a a)(d^order_b b) over the multisets of m
+        Pi entries.  Each term of that sum is the multiset's coeff times a
+        pair product a_t b_u times the weights w * (i*pi)^s of the two term
+        maps, added as integer numerators over one common denominator; each
+        output coefficient is reduced once."""
         work = _work(self)
-        out: dict = {}
-        for order_a, order_b, coeff, _, _ in work.orders(m):
-            da = work.derivative(a, order_a)
-            if da.is_zero():
+        den, rows = work.pair_products(a, b)
+        orders = work.orders(m)
+        den_c = lcm(*(c._den for _, _, c, _, _ in orders))
+        out: dict = {}  # key -> {pi power: (re, im)} over den * den_c
+        for order_a, order_b, c, _, _ in orders:
+            map_a = work.term_map(a, order_a)
+            if not map_a:
                 continue
-            db = work.derivative(b, order_b)
-            if db.is_zero():
+            map_b = work.term_map(b, order_b)
+            if not map_b:
                 continue
-            for (m1, f1), c1 in da._terms.items():
-                c1 = coeff * c1
-                for (m2, f2), c2 in db._terms.items():
-                    key = (tuple(map(add, m1, m2)), tuple(map(add, f1, f2)))
-                    c = c1 * c2
+            for t, (mon_a, freq_a), wa, sa in map_a:
+                row = rows[t]
+                cw = []  # coeff * wa * (i*pi)^sa
+                for k, x, y in _numerators(c, wa * (den_c // c._den)):
+                    for _ in range(sa % 4):
+                        x, y = -y, x
+                    cw.append((k + sa, x, y))
+                for u, (mon_b, freq_b), wb, sb in map_b:
+                    key = (tuple(map(add, mon_a, mon_b)), tuple(map(add, freq_a, freq_b)))
                     acc = out.get(key)
-                    out[key] = c if acc is None else acc + c
-        return _chartfn(self.space, out)
+                    if acc is None:
+                        acc = out[key] = {}
+                    for k1, x1, y1 in cw:
+                        for k2, x2, y2 in row[u]:
+                            x, y = (x1 * x2 - y1 * y2) * wb, (x1 * y2 + y1 * x2) * wb
+                            if sb:  # times i^sb
+                                for _ in range(sb % 4):
+                                    x, y = -y, x
+                            k = k1 + k2 + sb
+                            p = acc.get(k)
+                            acc[k] = (x, y) if p is None else (p[0] + x, p[1] + y)
+        den *= den_c
+        return _chartfn(self.space, {key: _reduce(CScalar, den, num) for key, num in out.items()})
 
     def _fourier_bidiff(self, m: int, a: ChartFunction, b: ChartFunction) -> ChartFunction:
         """B_m(a, b) for m >= 1 and pure Fourier sums a, b, in closed form.
@@ -218,9 +307,12 @@ class PureStarProduct:
         (in closed form when a_j and b_l are pure Fourier sums).
 
         The ``bidiff`` calls of one ``multiply`` share one work table: each
-        coefficient's iterated derivatives, the Pi multisets of each order
-        and the Fourier pair groups of each (a_j, b_l) are computed once for
-        all orders.  The table is dropped when the call returns."""
+        coefficient's term maps, the pair products and Fourier pair groups
+        of each (a_j, b_l) and the Pi multisets of each order are computed
+        once for all orders.  The table is dropped when the call returns.
+        The B_m of one order are summed into one dict."""
+        if K is not None:
+            _check_order(K, "truncation order K")
         sa = self._promote(a, K)
         sb = self._promote(b, K)
         if sa.space != self.space or sb.space != self.space:
@@ -232,16 +324,14 @@ class PureStarProduct:
         try:
             coeffs = []
             for k in range(kmax + 1):
-                c = ChartFunction.zero(self.space)
-                for j in range(k + 1):
-                    if sa.coeffs[j].is_zero():
-                        continue
-                    for l in range(k - j + 1):
-                        m = k - j - l
-                        if sb.coeffs[l].is_zero():
-                            continue
-                        c = c + self.bidiff(m, sa.coeffs[j], sb.coeffs[l])
-                coeffs.append(c)
+                parts = [
+                    self.bidiff(k - j - l, sa.coeffs[j], sb.coeffs[l])
+                    for j in range(k + 1)
+                    if not sa.coeffs[j].is_zero()
+                    for l in range(k - j + 1)
+                    if not sb.coeffs[l].is_zero()
+                ]
+                coeffs.append(_sum(self.space, parts))
         finally:
             _WORK.reset(token)
         return FormalSeries(self.space, coeffs)
@@ -276,8 +366,12 @@ def check_associativity(
 ) -> AssociativityReport:
     """Expand (a*b)*c - a*(b*c) exactly for every sampled triple.
 
-    Violations are report content, not exceptions.
+    Violations are report content, not exceptions.  K must be an int >= 0
+    and ``samples`` must not be empty.
     """
+    _check_order(K, "truncation order K")
+    if not samples:
+        raise ValueError("check_associativity needs at least one sample triple")
     violations = []
     for index, triple in enumerate(samples):
         defect = _associator_defect(product, triple, K)

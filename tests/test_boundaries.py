@@ -16,12 +16,14 @@ from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
 from starbundle.manifold import Torus
 from starbundle.poisson import PoissonStructure
-from starbundle.star import PureStarProduct
+from starbundle.series import FormalSeries
+from starbundle.star import PureStarProduct, check_associativity
 
 T2 = Torus(2)
 X = ChartFunction.variable(T2.space, "x")
 R2 = ChartSpace.euclidean(("x", "y"))
 U = ChartFunction.variable(R2, "x")
+S2 = PureStarProduct(PoissonStructure.standard(R2))
 
 
 def triple_check(points_per_triple):
@@ -96,9 +98,45 @@ CASES = [
     ),
     (
         "bidiff-negative-order",
-        lambda: PureStarProduct(PoissonStructure.standard(R2)).bidiff(-1, U, U),
+        lambda: S2.bidiff(-1, U, U),
         ValueError,
         "order must be >= 0",
+    ),
+    (
+        "bidiff-float-order",
+        lambda: S2.bidiff(1.5, U, U),
+        TypeError,
+        "bidifferential order must be an int, not float",
+    ),
+    (
+        "multiply-float-K",
+        lambda: S2.multiply(U, U, 1.5),
+        TypeError,
+        "truncation order K must be an int, not float",
+    ),
+    (
+        "multiply-series-float-K",
+        lambda: S2.multiply(FormalSeries.constant(U, 2), U, 1.5),
+        TypeError,
+        "truncation order K must be an int, not float",
+    ),
+    (
+        "associativity-float-K",
+        lambda: check_associativity(S2, [(U, U, U)], 1.0),
+        TypeError,
+        "truncation order K must be an int, not float",
+    ),
+    (
+        "associativity-no-samples",
+        lambda: check_associativity(S2, [], 2),
+        ValueError,
+        "needs at least one sample",
+    ),
+    (
+        "series-constant-negative-K",
+        lambda: FormalSeries.constant(U, -1),
+        ValueError,
+        "truncation order K must be >= 0, not -1",
     ),
 ]
 

@@ -13,7 +13,7 @@ from starbundle.series import FormalSeries
 from starbundle import star
 from starbundle.star import PureStarProduct, check_associativity, star_trace
 
-from conftest import random_fraction, random_poly, random_trig
+from conftest import random_cscalar, random_fraction, random_poly, random_trig
 
 R2 = ChartSpace.euclidean(("x", "y"))
 R4 = ChartSpace.euclidean(("x1", "y1", "x2", "y2"))
@@ -381,7 +381,21 @@ def poly_of_degree(space, rng, degree, n_terms=3):
     return total
 
 
-@pytest.mark.parametrize("case", ["R4-degree-4-6", "T2-mixed", "series", "pi-scaled", "cross"])
+def random_mixed(space, rng, n_terms=3):
+    """n_terms terms c * x^alpha * e_k with exponents 0-2, frequencies -1..1
+    and complex Laurent-pi coefficients c."""
+    total = ChartFunction.zero(space)
+    for _ in range(n_terms):
+        mono = ChartFunction.monomial(space, {n: rng.randint(0, 2) for n in space.names})
+        freqs = {n: rng.randint(-1, 1) for n in space.names}
+        total = total + mono * ChartFunction.fourier(space, freqs, random_cscalar(rng))
+    return total
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["R4-degree-4-6", "T2-mixed", "series", "pi-scaled", "cross", "T4-mixed-cross", "T4-mixed-pi", "late-series"],
+)
 def test_multiply_matches_naive_oracle(rng, case):
     # multiply shares one work table among its bidiff calls; every order
     # must still equal the oracle's independent sum over index sequences
@@ -405,8 +419,26 @@ def test_multiply_matches_naive_oracle(rng, case):
     elif case == "pi-scaled":
         product = PureStarProduct(PoissonStructure.standard(R4, Scalar.pi()))
         pairs = r4_pairs((3, 4))
-    else:  # six nonzero entries: 6^m index sequences for the oracle, so K = 3
+    elif case == "cross":  # six nonzero entries: 6^m index sequences for the oracle, so K = 3
         product, K, pairs = cross_coupled(R4), 3, r4_pairs((3, 4))
+    elif case.startswith("T4-mixed"):  # order k of a plain product is B_k, so m <= 3
+        K = 3
+        if case == "T4-mixed-cross":
+            product = cross_coupled(T4)
+        else:
+            product = PureStarProduct(PoissonStructure.standard(T4, Scalar.pi()))
+        pairs = [(random_mixed(T4, rng), random_mixed(T4, rng)) for _ in "12"]
+    else:  # series whose nonzero orders start at 1 and 2, with gaps
+        product, K = cross_coupled(R4), 4
+        zero = ChartFunction.zero(R4)
+
+        def late(*orders):
+            coeffs = [zero] * (K + 1)
+            for k in orders:
+                coeffs[k] = poly_of_degree(R4, rng, 3)
+            return FormalSeries(R4, coeffs)
+
+        pairs = [(late(1, 2), late(1, 3)), (late(2), late(1, 2, 4))]
     for x, y in pairs:
         got = product.multiply(x, y, K)
         sx, sy = product._promote(x, K), product._promote(y, K)
@@ -425,11 +457,11 @@ def test_associativity_of_benchmark_shaped_triples(rng):
 
 def test_work_table_does_not_outlive_the_call(rng, monkeypatch):
     # a cache that survived a call would make the second of two equal calls
-    # take fewer derivatives, or leave a table reachable after the call
-    derived = []
-    derive = ChartFunction.derive
+    # build fewer term maps, or leave a table reachable after the call
+    built = []
+    term_map = star._term_map
     monkeypatch.setattr(
-        ChartFunction, "derive", lambda self, name: derived.append(name) or derive(self, name)
+        star, "_term_map", lambda f, order: built.append(order) or term_map(f, order)
     )
     tables = []
     bidiff = PureStarProduct.bidiff
@@ -447,9 +479,9 @@ def test_work_table_does_not_outlive_the_call(rng, monkeypatch):
     ):
         counts = []
         for _ in range(2):
-            derived.clear()
+            built.clear()
             call()
-            counts.append(len(derived))
+            counts.append(len(built))
         assert counts[0] == counts[1] > 0
     # the five bidiff calls of the first multiply (K = 4) shared one table
     assert len(tables) > 5 and len({key for key, _ in tables[:5]}) == 1
