@@ -114,11 +114,18 @@ class CechConnectionData:
 
     def overlap_failures(self, forms: Mapping[int, DifferentialForm]) -> list[tuple[int, int]]:
         """The overlaps (i, j) where forms[i] - forms[j] != d(phi_ij), with
-        forms[j] moved into chart i's frame."""
+        forms[j] moved into chart i's frame; compared coefficient by
+        coefficient, a covector index missing from a form reading 0."""
+        zero = ChartFunction.zero(self.torus.space)
+        terms = {i: form.terms for i, form in forms.items()}
         failures = []
         for i, j in self.transitions:
-            form_j_here = forms[j].shift(self.cover.frame_shift(i, j))
-            if forms[i] - form_j_here != self.differential(i, j):
+            here, there, dphi = terms[i], terms[j], self.differential(i, j).terms
+            delta = self.cover.frame_shift(i, j)
+            if any(
+                here.get(idx, zero) != there.get(idx, zero).shift(delta) + dphi.get(idx, zero)
+                for idx in here.keys() | there.keys() | dphi.keys()
+            ):
                 failures.append((i, j))
         return failures
 

@@ -88,6 +88,8 @@ class GoodCover:
     @staticmethod
     def grid(torus: Torus, n: int, halfwidth: Fraction | None = None) -> "GoodCover":
         """n x ... x n grid of congruent rectangles, centers at lattice/n."""
+        if not isinstance(n, int):
+            raise TypeError(f"grid size n must be an int, not {type(n).__name__}")
         if n < 3:
             raise ValueError("grid covers need n >= 3 per axis to stay good")
         dim = torus.dim

@@ -1,13 +1,13 @@
 """Glued multiplicative connections and Hermitian structures.
 
-The chart connections d + i*alpha_i are averaged against an exact partition
-of unity: on chart i the glued left 1-form is
+Starting connections d + i*a_j are averaged against an exact partition of
+unity: with delta_j = a_j - alpha_j, chart i's glued left 1-form is
 
-    beta_i = sum_j rho_j * (alpha_j + d phi_ij)
+    beta_i = sum_j rho_j * (a_j + d phi_ij) = alpha_i + sum_j rho_j * delta_j
 
-where alpha_j and phi_ij are translated into chart i's frame.  Every glued
-identity used here (overlap consistency, curvature recovery, the beta
-structure of connection differences) only needs sum rho_j = 1 and the
+where a_j, delta_j and phi_ij are translated into chart i's frame; the two
+sums agree by the overlap identity alpha_j + d phi_ij = alpha_i and by
+sum rho_j = 1.  Every glued identity used here only needs these and the
 cocycle identities, which are polynomial identities, so the checks are
 exact even though trigonometric windows cannot vanish on open sets.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 from .bundle import LocalLineBundle
@@ -94,12 +95,7 @@ class PartitionOfUnity:
             if total != ChartFunction.one(space):
                 raise GluingError(f"axis {axis} windows do not sum to 1 exactly")
         # grid coordinates per chart index (row-major as built by GoodCover.grid)
-        n = cover.grid_shape
-        self._coords = []
-        from itertools import product as iproduct
-
-        for coords in iproduct(*(range(k) for k in n)):
-            self._coords.append(coords)
+        self._coords = list(product(*(range(k) for k in cover.grid_shape)))
         if len(self._coords) != len(cover.charts):
             raise GluingError("grid shape does not match the chart count")
 
@@ -151,14 +147,16 @@ class PartitionOfUnity:
         return PartitionOfUnity(cover, axis_windows)
 
     def window(self, chart_index: int) -> ChartFunction:
+        count = len(self._coords)
+        if not 0 <= chart_index < count:
+            raise IndexError(
+                f"chart index {chart_index} is outside 0..{count - 1} of {count} charts"
+            )
         coords = self._coords[chart_index]
         w = ChartFunction.one(self.cover.torus.space)
         for axis, pos in enumerate(coords):
             w = w * self.axis_windows[axis][pos]
         return w
-
-    def all_windows(self) -> list[ChartFunction]:
-        return [self.window(i) for i in range(len(self.cover.charts))]
 
 
 class GluedConnection:
@@ -187,15 +185,6 @@ class GluedConnection:
         failures = [{"identity": "overlap", "pair": pair} for pair in overlaps]
         return CheckReport("overlap_consistency", len(data.transitions), failures)
 
-    def product_form(self, chart: int) -> DifferentialForm:
-        """pi_L* beta - pi_R* beta on the squared chart."""
-        base = self.torus.space
-        pair = ProductChart(base.copies(2))
-        beta = self.left_forms[chart]
-        left = beta.embed(pair, base.copy_map(1))
-        right = beta.embed(pair, base.copy_map(2))
-        return left - right
-
     def multiplicativity_report(self) -> CheckReport:
         """Connection-form additivity across triples plus overlap consistency.
 
@@ -204,16 +193,23 @@ class GluedConnection:
         is the infinitesimal multiplicative property of the connection.
         """
         consistency = self.consistency_report()
+        base = self.torus.space
         additivity = [
             {"identity": "additivity", "chart": chart}
-            for chart in self.left_forms
-            if not check_product_additivity(self.product_form(chart), self.torus.space)
+            for chart, beta in self.left_forms.items()
+            if not check_product_additivity(_product_form(beta, base), base)
         ]
         return CheckReport(
             "connection_multiplicativity",
             consistency.checked + len(self.left_forms),
             consistency.failures + tuple(additivity),
         )
+
+
+def _product_form(beta: DifferentialForm, base: ChartSpace) -> DifferentialForm:
+    """pi_L* beta - pi_R* beta on the squared chart."""
+    pair = ProductChart(base.copies(2))
+    return beta.embed(pair, base.copy_map(1)) - beta.embed(pair, base.copy_map(2))
 
 
 def check_product_additivity(pair_form: DifferentialForm, base: ChartSpace) -> bool:
@@ -237,16 +233,14 @@ def glue_multiplicative_connection(
 ) -> GluedConnection:
     """Average chart connections through the partition of unity.
 
-    ``initial`` supplies the per-chart starting connections (default: the
-    Cech primitives alpha_i).  The glued forms satisfy the overlap identity
-    exactly; the construction needs every pair of charts to overlap so the
-    translated integrands are defined chart-wide.
-
-    Every transported form T_ij = alpha_j (in chart i's frame) + d phi_ij is
-    computed, and the charts j with equal T_ij share one product:
-    beta_i = sum over distinct T of T * (sum of their rho_j).  The sum is
-    exact, so this is the same form as the term-by-term sum; with the
-    default ``initial`` every T_ij is alpha_i and one product remains.
+    ``initial`` supplies the per-chart starting connections a_j (default:
+    the Cech primitives alpha_j).  The construction needs verified descent
+    data, on which a_j + d phi_ij = alpha_i + delta_j with
+    delta_j = a_j - alpha_j in chart i's frame, and every pair of charts to
+    overlap so the translated integrands are defined chart-wide.  As
+    sum rho_j = 1, beta_i = alpha_i + sum_j rho_j * delta_j over the charts
+    whose delta_j is not 0: exactly the partition average of the
+    transported forms, and alpha_i itself for the default ``initial``.
     """
     cover = bundle.cover
     if partition.cover is not cover and (
@@ -257,10 +251,12 @@ def glue_multiplicative_connection(
         raise GluingError(
             "gluing needs pairwise-overlapping charts for the exact extension"
         )
-    data = bundle.data
+    if not (report := bundle.data.verify()).passed:
+        raise GluingError(f"descent data fails verification: {report.failures[0]}")
     torus = bundle.torus
+    alphas = bundle.data.alphas
     if initial is None:
-        initial = data.alphas
+        initial = alphas
     else:
         initial = dict(initial)
         for i, form in initial.items():
@@ -271,20 +267,17 @@ def glue_multiplicative_connection(
         if set(initial) != set(range(len(cover.charts))):
             raise GluingError("one initial connection per chart is required")
 
-    windows = partition.all_windows()
+    weighted = {
+        j: (initial[j] - alpha, partition.window(j))
+        for j, alpha in alphas.items()
+        if initial[j] != alpha
+    }
     left_forms = {}
-    for i in range(len(cover.charts)):
-        grouped: dict[DifferentialForm, ChartFunction] = {}
-        for j in range(len(cover.charts)):
-            if j == i:
-                transported = initial[i]
-            else:
-                transported = initial[j].shift(cover.frame_shift(i, j)) + data.differential(i, j)
-            acc = grouped.get(transported)
-            grouped[transported] = windows[j] if acc is None else acc + windows[j]
-        total = DifferentialForm.zero(torus)
-        for transported, window in grouped.items():
-            total = total + transported.multiply_function(window)
+    for i, alpha in alphas.items():
+        total = alpha
+        for j, (delta, window) in weighted.items():
+            here = delta if j == i else delta.shift(cover.frame_shift(i, j))
+            total = total + here.multiply_function(window)
         left_forms[i] = total
     return GluedConnection(bundle, partition, initial, left_forms)
 
@@ -321,7 +314,6 @@ def connection_difference(a: GluedConnection, b: GluedConnection) -> Differentia
     """
     if set(a.left_forms) != set(b.left_forms):
         raise GluingError("connections live on different covers")
-    torus = a.torus
     diffs = {i: a.left_forms[i] - b.left_forms[i] for i in a.left_forms}
     items = sorted(diffs.items())
     first = items[0][1]
@@ -333,10 +325,8 @@ def connection_difference(a: GluedConnection, b: GluedConnection) -> Differentia
             raise GluingError("connection difference does not descend to the torus")
     # structural identity: the induced difference on the bundle is
     # pi_L*beta - pi_R*beta; verify the additivity signature
-    base = torus.space
-    pair = ProductChart(base.copies(2))
-    induced = first.embed(pair, base.copy_map(1)) - first.embed(pair, base.copy_map(2))
-    if not check_product_additivity(induced, base):
+    base = a.torus.space
+    if not check_product_additivity(_product_form(first, base), base):
         raise AssertionError("connection difference lost the product structure")
     return first
 

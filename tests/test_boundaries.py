@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from starbundle.bundle import build_local_line_bundle
-from starbundle.cech import constant_two_form, solve_cech
+from starbundle.bundle import LocalLineBundle, build_local_line_bundle
+from starbundle.cech import CechConnectionData, constant_two_form, solve_cech
 from starbundle.chartfn import ChartFunction, ChartSpace
 from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
+from starbundle.gluing import GluingError, PartitionOfUnity, glue_multiplicative_connection
 from starbundle.manifold import Torus
 from starbundle.poisson import PoissonStructure
 from starbundle.series import FormalSeries
@@ -30,6 +31,16 @@ def triple_check(points_per_triple):
     cover = GoodCover.grid(T2, 3)
     bundle = build_local_line_bundle(solve_cech(constant_two_form(T2, Fraction(1, 3)), cover))
     return bundle.check_triple_associativity(points_per_triple=points_per_triple)
+
+
+def glue_tampered():
+    """Glue over a datum whose transition phi_01 gained a y term."""
+    cover = GoodCover.grid(T2, 3)
+    data = solve_cech(constant_two_form(T2, Fraction(1, 3)), cover)
+    transitions = dict(data.transitions)
+    transitions[(0, 1)] = transitions[(0, 1)] + ChartFunction.variable(T2.space, "y")
+    bad = CechConnectionData(cover, data.omega, data.alphas, transitions, data.triple_constants)
+    return glue_multiplicative_connection(LocalLineBundle(bad), PartitionOfUnity.for_grid(cover))
 
 
 CASES = [
@@ -86,6 +97,27 @@ CASES = [
         lambda: GoodCover.grid(T2, 3, 0.2),
         TypeError,
         "halfwidth must be a Fraction, not float",
+    ),
+    (
+        "grid-float-size",
+        lambda: GoodCover.grid(T2, 1.5),
+        TypeError,
+        "grid size n must be an int, not float",
+    ),
+    (
+        "glue-unverified-data",
+        glue_tampered,
+        GluingError,
+        "descent data fails verification: {'identity': 'overlap', 'pair': (0, 1)}",
+    ),
+    *(
+        (
+            f"partition-window-{k}",
+            lambda k=k: PartitionOfUnity.for_grid(GoodCover.grid(T2, 3)).window(k),
+            IndexError,
+            f"chart index {k} is outside 0..8 of 9 charts",
+        )
+        for k in (-1, 9)
     ),
     *(
         (

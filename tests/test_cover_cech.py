@@ -226,6 +226,15 @@ def test_cech_data_is_immutable():
         data.triple_constants[data.cover.triples[0]] = Scalar.zero()
 
 
+def form_level_overlap_failures(data, forms):
+    """Reference: the overlap identity decided on whole forms."""
+    return [
+        (i, j)
+        for i, j in data.transitions
+        if forms[i] - forms[j].shift(data.cover.frame_shift(i, j)) != data.differential(i, j)
+    ]
+
+
 def test_overlap_failures_name_the_broken_chart():
     data = solve_cech(constant_two_form(T2, Scalar.pi(1, 2)), GoodCover.grid(T2, 3))
     assert data.overlap_failures(data.alphas) == []
@@ -239,3 +248,25 @@ def test_overlap_failures_name_the_broken_chart():
     ).verify()
     assert {w["identity"] for w in report.failures} == {"overlap"}
     assert {w["pair"] for w in report.failures} == broken and len(report.failures) == len(broken)
+    # covector indices that differ between charts match the form-level check
+    dx = DifferentialForm.basis(T2, "dx")
+    x_dx = dx.multiply_function(ChartFunction.variable(T2.space, "x"))
+    cases = {
+        # dx on chart 0 only: for (0, j) it is on chart i only, for (j, 0) on chart j only
+        "dx-on-chart-0": {0: data.alphas[0] + dx},
+        "dx-on-chart-4": {4: data.alphas[4] + dx.scale(3)},
+        # the same global dx everywhere cancels across every overlap
+        "dx-everywhere": {i: a + dx for i, a in data.alphas.items()},
+        # x dx everywhere breaks exactly the overlaps whose frames differ in x
+        "x-dx-everywhere": {i: a + x_dx for i, a in data.alphas.items()},
+    }
+    seen = {}
+    for name, changed in cases.items():
+        forms = {**data.alphas, **changed}
+        seen[name] = data.overlap_failures(forms)
+        assert seen[name] == form_level_overlap_failures(data, forms), name
+    assert set(seen["dx-on-chart-0"]) == {p for p in data.transitions if 0 in p}
+    assert set(seen["dx-on-chart-4"]) == {p for p in data.transitions if 4 in p}
+    assert seen["dx-everywhere"] == []
+    moved_in_x = [p for p in data.transitions if data.cover.frame_shift(*p).get("x", 0) != 0]
+    assert seen["x-dx-everywhere"] == moved_in_x != []

@@ -73,6 +73,28 @@ def test_one_op_builds_each_quantity_once(monkeypatch):
         assert sum(f is phi for f in arguments) == 1, key
 
 
+@pytest.mark.parametrize("moved", [0, 3], ids=["default", "varied"])
+def test_glue_shifts_only_the_moved_connections(monkeypatch, moved):
+    """With the default initial the glue transports nothing; a chart whose
+    initial connection is not alpha_j costs one shift per other chart."""
+    cover = GoodCover.grid(T2, 3)
+    bundle = build_local_line_bundle(solve_cech(constant_two_form(T2, Scalar.pi(1, 2)), cover))
+    partition = PartitionOfUnity.for_grid(cover)
+    initial = dict(bundle.data.alphas)
+    for j in range(moved):
+        initial[j] = initial[j] + DifferentialForm.basis(T2, "dx").scale(j + 1)
+    shifted = []
+    real_shift = DifferentialForm.shift
+
+    def counted_shift(form, delta):
+        shifted.append(form)
+        return real_shift(form, delta)
+
+    monkeypatch.setattr(DifferentialForm, "shift", counted_shift)
+    glue_multiplicative_connection(bundle, partition, initial=initial if moved else None)
+    assert len(shifted) == moved * (len(cover.charts) - 1)
+
+
 def test_tables_die_with_the_datum():
     data = pipeline_op(Scalar.pi(1, Fraction(5, 3)))
     assert len(data._sums) == len(data.cover.triples)

@@ -43,7 +43,7 @@ def test_partition_sums_to_one_exactly():
     for family in ("primary", "alternate"):
         part = PartitionOfUnity.for_grid(COVER, family)
         total = ChartFunction.zero(T2.space)
-        for w in part.all_windows():
+        for w in map(part.window, range(len(part.cover.charts))):
             assert w.is_real() and w.is_global()
             total = total + w
         assert total == ChartFunction.one(T2.space)
@@ -69,7 +69,7 @@ def test_partition_four_grid_exact():
     cover4 = GoodCover.grid(T2, 4)
     part = PartitionOfUnity.for_grid(cover4)
     total = ChartFunction.zero(T2.space)
-    for w in part.all_windows():
+    for w in map(part.window, range(len(part.cover.charts))):
         total = total + w
     assert total == ChartFunction.one(T2.space)
 
@@ -144,14 +144,28 @@ def test_varied_initial_still_consistent():
     assert curv == bundle.data.omega + primitive.exterior_d()
 
 
-@pytest.mark.parametrize("varied", [False, True], ids=["default", "varied"])
-def test_glue_matches_ungrouped_sum(varied):
-    """beta_i against sum_j T_ij * rho_j, one product per chart pair."""
+def partial_initial(bundle):
+    """alpha_j on the even charts, alpha_j plus a correction on the odd ones."""
+    varied = varied_initial(bundle)
+    return {j: varied[j] if j % 2 else alpha for j, alpha in bundle.data.alphas.items()}
+
+
+INITIALS = {"default": (None, 0), "varied": (varied_initial, 8), "partial": (partial_initial, 4)}
+
+
+@pytest.mark.parametrize(
+    "make_initial, moved, family",
+    [(*v, "primary") for v in INITIALS.values()] + [(*v, "alternate") for v in INITIALS.values()],
+    ids=list(INITIALS) + [f"{name}-alternate" for name in INITIALS],
+)
+def test_glue_matches_ungrouped_sum(make_initial, moved, family):
+    """beta_i against sum_j T_ij * rho_j, one product per chart pair; moved
+    counts the charts whose initial connection is not alpha_j."""
     bundle = make_bundle(Scalar.pi(1, Fraction(2, 3)))
-    part = PartitionOfUnity.for_grid(COVER)
-    initial = varied_initial(bundle) if varied else bundle.data.alphas
-    conn = glue_multiplicative_connection(bundle, part, initial=initial if varied else None)
-    windows = part.all_windows()
+    part = PartitionOfUnity.for_grid(COVER, family)
+    initial = make_initial(bundle) if make_initial else bundle.data.alphas
+    conn = glue_multiplicative_connection(bundle, part, initial=initial if make_initial else None)
+    windows = [part.window(j) for j in range(len(COVER.charts))]
     for i in range(len(COVER.charts)):
         expected = DifferentialForm.zero(T2)
         transported = set()
@@ -162,8 +176,9 @@ def test_glue_matches_ungrouped_sum(varied):
                 t = initial[j].shift(COVER.frame_shift(i, j)) + dphi
             transported.add(t)
             expected = expected + t.multiply_function(windows[j])
-        assert len(transported) == (len(COVER.charts) if varied else 1)
+        assert len(transported) == 1 + moved
         assert conn.left_forms[i] == expected
+    assert conn.consistency_report().passed
 
 
 def test_two_partitions_differ_by_global_one_form():
