@@ -2,10 +2,13 @@
 
 Over each chart square U_i x U_i the bundle is trivial with connection
 d + i*alpha_i boxtimes its dual; two trivializations are glued by the
-product unitary e^{i phi_ij(x)} x e^{-i phi_ij(y)}.  Because the triple
-sums phi_ij + phi_jk + phi_ki are constant, the conjugated gluings form an
-exact cocycle on squared triple overlaps and the composition over germs is
-associative; both facts are checked symbolically and at sampled points.
+product unitary e^{i phi_ij(x)} x e^{-i phi_ij(y)}.  The conjugated gluings
+form an exact cocycle on squared triple overlaps, and the composition over
+germs is associative, exactly when every triple sum phi_ij + phi_jk + phi_ki
+is constant: ``check_gluing_cocycle`` decides that symbolically, and
+``check_triple_associativity`` at sampled germs through ``compose``.  The
+unit on the diagonal is the constant 1 in every chart; its gluing over
+(x, x) is e^{i(phi(x) - phi(x))} = 1 for every phi, so it is not checked.
 
 Fiber elements are represented in polar form r * e^{i*gamma} with rational
 magnitude and Scalar phase, so unitarity and phase cancellations are exact.
@@ -86,6 +89,10 @@ class GermElement:
 
 class BundleError(ValueError):
     pass
+
+
+# points sampled per triple: the one chain p, q, r, s that germs u, v, w span
+_CHAIN = 4
 
 
 @dataclass(frozen=True)
@@ -170,22 +177,17 @@ class LocalLineBundle:
     def check_gluing_cocycle(self) -> CheckReport:
         """g_ij * g_jk == g_ik on squared triple overlaps, symbolically.
 
-        The left/right phase difference of the triple sum is an exact zero
-        polynomial because the triple sums are constant.
+        The phase defect is T(x) - T(y) for the triple sum T, which vanishes
+        on the squared overlap exactly when T is constant.
         """
-        base = self.torus.space
-        pair = base.copies(2)
         failures = []
         for i, j, k in self.cover.triples:
             total = self.data.triple_sum(i, j, k)
-            left = total.embed(pair, base.copy_map(1))
-            right = total.embed(pair, base.copy_map(2))
-            defect = left - right
-            if not defect.is_zero():
-                failures.append({"triple": (i, j, k), "defect": str(defect)})
+            if not total.is_constant():
+                failures.append({"triple": (i, j, k), "sum": str(total)})
         return CheckReport("gluing_cocycle", len(self.cover.triples), failures)
 
-    def _sample_points(self, rect: Rect, count: int = 4) -> list[tuple[Fraction, ...]]:
+    def _sample_points(self, rect: Rect, count: int) -> list[tuple[Fraction, ...]]:
         """Deterministic rational points spread inside a rectangle."""
         out = []
         for s in range(count):
@@ -196,73 +198,35 @@ class LocalLineBundle:
             out.append(point)
         return out
 
-    def check_triple_associativity(self, points_per_triple: int = 4) -> TripleAssociativityReport:
+    def check_triple_associativity(self) -> TripleAssociativityReport:
         """Both composition orders of H agree exactly at sampled germs.
 
-        For each nerve triple, germs u, v, w are trivialized in the three
-        different charts, so the comparison exercises every gluing; the two
-        orders agree iff the triple sums are constant.  A chain of germs needs
-        four points, so fewer raise ValueError rather than check nothing.
+        For each nerve triple, germs u, v, w over a chain of four sampled
+        points are trivialized in the three different charts, so the
+        comparison exercises every gluing; the two orders agree iff the
+        triple sums are constant.
         """
-        if points_per_triple < 4:
-            raise ValueError(f"points_per_triple must be >= 4, got {points_per_triple}")
         violations = []
         for i, j, k in self.cover.triples:
-            rect = self.cover.triple_rect(i, j, k)
-            pts = self._sample_points(rect, points_per_triple)
-            for t in range(len(pts) - 3):
-                p, q, r, s = pts[t], pts[t + 1], pts[t + 2], pts[t + 3]
-                u = GermElement(i, p, q, PolarC(Fraction(2), Scalar.pi(1, Fraction(1, 3))))
-                v = GermElement(j, q, r, PolarC(Fraction(1, 3), Scalar.rational(Fraction(1, 5))))
-                w = GermElement(k, r, s, PolarC(Fraction(5), -Scalar.pi()))
-                left = self.compose(self.compose(u, v, anchor=i, chart=i), w, anchor=i, chart=i)
-                right = self.compose(u, self.compose(v, w, anchor=i, chart=j), anchor=i, chart=i)
-                if left.value != right.value:
-                    delta = left.value.phase - right.value.phase
-                    violations.append(
-                        {
-                            "triple": (i, j, k),
-                            "points": [[str(c) for c in pt] for pt in (p, q, r, s)],
-                            "phase_defect": str(delta),
-                        }
-                    )
+            p, q, r, s = points = self._sample_points(self.cover.triple_rect(i, j, k), _CHAIN)
+            u = GermElement(i, p, q, PolarC(Fraction(2), Scalar.pi(1, Fraction(1, 3))))
+            v = GermElement(j, q, r, PolarC(Fraction(1, 3), Scalar.rational(Fraction(1, 5))))
+            w = GermElement(k, r, s, PolarC(Fraction(5), -Scalar.pi()))
+            left = self.compose(self.compose(u, v, anchor=i, chart=i), w, anchor=i, chart=i)
+            right = self.compose(u, self.compose(v, w, anchor=i, chart=j), anchor=i, chart=i)
+            if left.value != right.value:
+                violations.append(
+                    {
+                        "triple": (i, j, k),
+                        "points": [[str(c) for c in pt] for pt in points],
+                        "phase_defect": str(left.value.phase - right.value.phase),
+                    }
+                )
         return TripleAssociativityReport(
             triples_checked=len(self.cover.triples),
-            points_per_triple=points_per_triple,
+            points_per_triple=_CHAIN,
             violations=tuple(violations),
         )
-
-    def diagonal_unit(self) -> CheckReport:
-        """The canonical section e with H(e (x) e) = e and identity action.
-
-        In the canonical trivializations e is the constant 1 on the diagonal
-        of every chart; the report records the idempotence check and the
-        rejection of -e at sampled points of every chart, and the identity
-        action on a germ over every pair overlap.
-        """
-        failures = []
-        checked = 0
-        for idx, rect in enumerate(self.cover.charts):
-            for x in self._sample_points(rect, 3):
-                point = [str(c) for c in x]
-                e = GermElement(idx, x, x, PolarC.one())
-                if self.compose(e, e, anchor=idx, chart=idx).value != e.value:
-                    failures.append({"identity": "idempotence", "chart": idx, "point": point})
-                neg = GermElement(idx, x, x, PolarC.minus_one())
-                if self.compose(neg, neg, anchor=idx, chart=idx).value == neg.value:
-                    failures.append({"identity": "minus-e-rejected", "chart": idx, "point": point})
-                checked += 2
-        # identity action across charts on pair overlaps
-        for i, j in self.cover.pairs:
-            rect = self.cover.pair_rect(i, j)
-            pts = self._sample_points(rect, 3)
-            x, y = pts[0], pts[1]
-            u = GermElement(i, x, y, PolarC(Fraction(7, 2), Scalar.pi(1, Fraction(2, 7))))
-            e_left = GermElement(j, x, x, PolarC.one())  # unit trivialized elsewhere
-            if self.compose(e_left, u, anchor=i, chart=i).value != u.value:
-                failures.append({"identity": "identity-action", "pair": (i, j)})
-            checked += 1
-        return CheckReport("diagonal_unit", checked, failures)
 
     def honest_cocycle_closes(self) -> CheckReport:
         """Does the one-sided cocycle e^{i phi_ij} already close on triples?

@@ -115,11 +115,15 @@ class CechConnectionData:
     def overlap_failures(self, forms: Mapping[int, DifferentialForm]) -> list[tuple[int, int]]:
         """The overlaps (i, j) where forms[i] - forms[j] != d(phi_ij), with
         forms[j] moved into chart i's frame; compared coefficient by
-        coefficient, a covector index missing from a form reading 0."""
+        coefficient, a covector index missing from a form reading 0; an
+        overlap of a chart with no form fails."""
         zero = ChartFunction.zero(self.torus.space)
         terms = {i: form.terms for i, form in forms.items()}
         failures = []
         for i, j in self.transitions:
+            if i not in terms or j not in terms:
+                failures.append((i, j))
+                continue
             here, there, dphi = terms[i], terms[j], self.differential(i, j).terms
             delta = self.cover.frame_shift(i, j)
             if any(
@@ -136,11 +140,17 @@ class CechConnectionData:
         return self._report
 
     def _check(self) -> CheckReport:
+        charts = range(len(self.cover.charts))
         failures = [
+            {"identity": "primitive", "chart": i, "missing": True}
+            for i in charts
+            if i not in self.alphas
+        ]
+        failures += (
             {"identity": "curl", "chart": i}
             for i, alpha in self.alphas.items()
             if alpha.exterior_d() != self.omega
-        ]
+        )
         failures += (
             {"identity": "overlap", "pair": pair} for pair in self.overlap_failures(self.alphas)
         )
@@ -156,7 +166,7 @@ class CechConnectionData:
             if total != ChartFunction.constant(space, const):
                 found = {"sum": str(total), "stored": str(const)}
                 failures.append({"identity": "triple", "triple": triple, **found})
-        checked = len(self.alphas) + 2 * len(self.transitions) + len(self.triple_constants)
+        checked = len(charts) + 2 * len(self.transitions) + len(self.triple_constants)
         return CheckReport("cech_descent", checked, failures)
 
 

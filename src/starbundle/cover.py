@@ -215,18 +215,13 @@ class GoodCover:
             raise KeyError(f"charts {i} and {j} do not overlap")
         return rect
 
-    def triple_rect(self, i: int, j: int, k: int) -> Rect | None:
-        """Triple overlap in chart i's frame; a nerve triple's is kept from
+    def triple_rect(self, i: int, j: int, k: int) -> Rect:
+        """Triple overlap of a nerve triple in chart i's frame, kept from
         ``_build_nerve``."""
-        kept = self._triple_rects.get((i, j, k))
-        if kept is not None:
-            return kept
-        mj = self.pair_lift(i, j)
-        mk = self.pair_lift(i, k)
-        rect = self.charts[i].intersect(self.charts[j].translated(mj))
+        rect = self._triple_rects.get((i, j, k))
         if rect is None:
-            return None
-        return rect.intersect(self.charts[k].translated(mk))
+            raise KeyError(f"charts {i}, {j}, {k} are not a nerve triple")
+        return rect
 
     def complete_pairwise(self) -> bool:
         n = len(self.charts)

@@ -7,9 +7,14 @@ unity: with delta_j = a_j - alpha_j, chart i's glued left 1-form is
 
 where a_j, delta_j and phi_ij are translated into chart i's frame; the two
 sums agree by the overlap identity alpha_j + d phi_ij = alpha_i and by
-sum rho_j = 1.  Every glued identity used here only needs these and the
-cocycle identities, which are polynomial identities, so the checks are
-exact even though trigonometric windows cannot vanish on open sets.
+sum rho_j = 1.  Every check here can fail on some input: the glued forms'
+overlap consistency, a curvature or connection difference that must be one
+global form in every chart, the partition's exact sum and certified
+nonnegativity, and the weights' positivity certificate.  Each is a
+polynomial identity, so it is exact even though trigonometric windows
+cannot vanish on open sets.  Multiplicativity is not checked: a product
+form pi_L*b - pi_R*b is additive over triples, and a metric weight
+h(x)/h(y) multiplicative, for every b and h.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .chartfn import ChartFunction, ChartSpace
 from .cohomology import CohomologyClass
 from .cover import GoodCover
 from .forms import DifferentialForm
-from .manifold import ProductChart, Torus
 from .report import CheckReport
 from .scalar import Scalar
 
@@ -147,6 +151,10 @@ class PartitionOfUnity:
         return PartitionOfUnity(cover, axis_windows)
 
     def window(self, chart_index: int) -> ChartFunction:
+        if not isinstance(chart_index, int):
+            raise TypeError(
+                f"chart index {chart_index!r} must be an int, not {type(chart_index).__name__}"
+            )
         count = len(self._coords)
         if not 0 <= chart_index < count:
             raise IndexError(
@@ -174,56 +182,12 @@ class GluedConnection:
         self.initial = dict(initial)
         self.left_forms = dict(left_forms)
 
-    @property
-    def torus(self) -> Torus:
-        return self.bundle.torus
-
     def consistency_report(self) -> CheckReport:
         """beta_i - beta_j = d phi_ij on every overlap, exactly."""
         data = self.bundle.data
         overlaps = data.overlap_failures(self.left_forms)
         failures = [{"identity": "overlap", "pair": pair} for pair in overlaps]
         return CheckReport("overlap_consistency", len(data.transitions), failures)
-
-    def multiplicativity_report(self) -> CheckReport:
-        """Connection-form additivity across triples plus overlap consistency.
-
-        A product-structure form A = pi_L*beta - pi_R*beta satisfies
-        A_(x,y) + A_(y,z) = A_(x,z); combined with overlap consistency this
-        is the infinitesimal multiplicative property of the connection.
-        """
-        consistency = self.consistency_report()
-        base = self.torus.space
-        additivity = [
-            {"identity": "additivity", "chart": chart}
-            for chart, beta in self.left_forms.items()
-            if not check_product_additivity(_product_form(beta, base), base)
-        ]
-        return CheckReport(
-            "connection_multiplicativity",
-            consistency.checked + len(self.left_forms),
-            consistency.failures + tuple(additivity),
-        )
-
-
-def _product_form(beta: DifferentialForm, base: ChartSpace) -> DifferentialForm:
-    """pi_L* beta - pi_R* beta on the squared chart."""
-    pair = ProductChart(base.copies(2))
-    return beta.embed(pair, base.copy_map(1)) - beta.embed(pair, base.copy_map(2))
-
-
-def check_product_additivity(pair_form: DifferentialForm, base: ChartSpace) -> bool:
-    """Does a 1-form on the squared chart satisfy A_S + A_F = A_C on triples?
-
-    Exact identity test; product-structure forms pass, anything mixing the
-    two slots fails.
-    """
-    triple = ProductChart(base.copies(3))
-
-    def pull(a: int, b: int) -> DifferentialForm:
-        return pair_form.embed(triple, base.pair_map(a, b))
-
-    return (pull(1, 2) + pull(2, 3) - pull(1, 3)).is_zero()
 
 
 def glue_multiplicative_connection(
@@ -282,6 +246,19 @@ def glue_multiplicative_connection(
     return GluedConnection(bundle, partition, initial, left_forms)
 
 
+def _global_form(forms: Mapping[int, DifferentialForm], what: str) -> DifferentialForm:
+    """The one form every chart carries, when each coefficient is global.
+
+    A global coefficient is periodic, so the form also reads the same in
+    every chart after any integer frame shift."""
+    first = forms[min(forms)]
+    if any(form != first for form in forms.values()):
+        raise GluingError(f"{what} is chart-dependent")
+    if not all(coeff.is_global() for coeff in first.terms.values()):
+        raise GluingError(f"{what} does not descend to the torus")
+    return first
+
+
 def left_curvature(connection: GluedConnection) -> DifferentialForm:
     """d of the glued left form, restricted to left tangent vectors.
 
@@ -289,21 +266,8 @@ def left_curvature(connection: GluedConnection) -> DifferentialForm:
     torus; for bundles built from the Cech solver with default initial data
     this returns the input 2-form bitwise.
     """
-    cover = connection.bundle.cover
     curvatures = {i: beta.exterior_d() for i, beta in connection.left_forms.items()}
-    items = sorted(curvatures.items())
-    first = items[0][1]
-    for i, curv in items[1:]:
-        if curv.shift(cover.frame_shift(items[0][0], i)) != first:
-            raise GluingError("glued curvature is not globally consistent")
-        if curv != first:
-            raise GluingError("glued curvature does not descend to the torus")
-    for coeff in first.terms.values():
-        if not coeff.is_global():
-            raise GluingError("curvature coefficient is not globally defined")
-    if not first.is_closed():
-        raise AssertionError("curvature failed the closedness check")
-    return first
+    return _global_form(curvatures, "glued curvature")
 
 
 def connection_difference(a: GluedConnection, b: GluedConnection) -> DifferentialForm:
@@ -315,40 +279,7 @@ def connection_difference(a: GluedConnection, b: GluedConnection) -> Differentia
     if set(a.left_forms) != set(b.left_forms):
         raise GluingError("connections live on different covers")
     diffs = {i: a.left_forms[i] - b.left_forms[i] for i in a.left_forms}
-    items = sorted(diffs.items())
-    first = items[0][1]
-    for i, d in items[1:]:
-        if d != first:
-            raise GluingError("connection difference is chart-dependent")
-    for coeff in first.terms.values():
-        if not coeff.is_global():
-            raise GluingError("connection difference does not descend to the torus")
-    # structural identity: the induced difference on the bundle is
-    # pi_L*beta - pi_R*beta; verify the additivity signature
-    base = a.torus.space
-    if not check_product_additivity(_product_form(first, base), base):
-        raise AssertionError("connection difference lost the product structure")
-    return first
-
-
-@dataclass(frozen=True)
-class FormalQuotientWeight:
-    """A metric weight N(x,y)/D(x,y) on the squared chart, kept unsplit so
-    multiplicativity can be decided by cleared-denominator identities."""
-
-    num: ChartFunction
-    den: ChartFunction
-
-    def is_multiplicative(self, base: ChartSpace) -> bool:
-        """W(x,y) W(y,z) == W(x,z) via N12 N23 D13 == N13 D12 D23."""
-        triple = ProductChart(base.copies(3)).space
-
-        def pull(f: ChartFunction, a: int, b: int) -> ChartFunction:
-            return f.embed(triple, base.pair_map(a, b))
-
-        lhs = pull(self.num, 1, 2) * pull(self.num, 2, 3) * pull(self.den, 1, 3)
-        rhs = pull(self.num, 1, 3) * pull(self.den, 1, 2) * pull(self.den, 2, 3)
-        return lhs == rhs
+    return _global_form(diffs, "connection difference")
 
 
 class GluedMetric:
@@ -358,21 +289,6 @@ class GluedMetric:
         self.bundle = bundle
         self.partition = partition
         self.weight = weight  # glued left weight, a single global function
-
-    def pair_weight(self) -> FormalQuotientWeight:
-        base = self.bundle.torus.space
-        pair = base.copies(2)
-        return FormalQuotientWeight(
-            num=self.weight.embed(pair, base.copy_map(1)),
-            den=self.weight.embed(pair, base.copy_map(2)),
-        )
-
-    def multiplicativity_report(self) -> CheckReport:
-        """The boxtimes-inverse weights cancel: |H(u,v)| = |u||v|."""
-        failures = []
-        if not self.pair_weight().is_multiplicative(self.bundle.torus.space):
-            failures.append({"identity": "multiplicativity", "weight": str(self.weight)})
-        return CheckReport("metric_multiplicativity", 1, failures)
 
     def compatible_connection_witness(self) -> tuple[DifferentialForm, ChartFunction]:
         """The metric-compatible correction (1/2) d(h)/h, in cleared form:
@@ -441,6 +357,8 @@ def chern_class(
     if connection is None:
         partition = PartitionOfUnity.for_grid(bundle.cover)
         connection = glue_multiplicative_connection(bundle, partition)
+    elif connection.bundle is not bundle:
+        raise GluingError("the connection is glued on a different bundle")
     curv = left_curvature(connection)
     coefficient = curv.scale(Scalar.pi(-1, Fraction(1, 2))).integrate()
     torus = bundle.torus

@@ -142,6 +142,8 @@ class Scalar(_Exact):
                 raise TypeError(
                     f"Scalar coefficients must be int or Fraction, not {type(q).__name__}"
                 )
+            if not isinstance(m, int):
+                raise TypeError(f"pi power {m!r} must be an int, not {type(m).__name__}")
             total = _add(total, _reduce(Scalar, q.denominator, {int(m): (q.numerator, 0)}))
         self._den, self._num = total._den, total._num
 

@@ -9,14 +9,20 @@ from fractions import Fraction
 
 import pytest
 
-from starbundle.bundle import LocalLineBundle, build_local_line_bundle
+from starbundle.bundle import BundleError, LocalLineBundle, build_local_line_bundle
 from starbundle.cech import CechConnectionData, constant_two_form, solve_cech
 from starbundle.chartfn import ChartFunction, ChartSpace
 from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
-from starbundle.gluing import GluingError, PartitionOfUnity, glue_multiplicative_connection
+from starbundle.gluing import (
+    GluingError,
+    PartitionOfUnity,
+    chern_class,
+    glue_multiplicative_connection,
+)
 from starbundle.manifold import Torus
 from starbundle.poisson import PoissonStructure
+from starbundle.scalar import Scalar
 from starbundle.series import FormalSeries
 from starbundle.star import PureStarProduct, check_associativity
 
@@ -27,12 +33,6 @@ U = ChartFunction.variable(R2, "x")
 S2 = PureStarProduct(PoissonStructure.standard(R2))
 
 
-def triple_check(points_per_triple):
-    cover = GoodCover.grid(T2, 3)
-    bundle = build_local_line_bundle(solve_cech(constant_two_form(T2, Fraction(1, 3)), cover))
-    return bundle.check_triple_associativity(points_per_triple=points_per_triple)
-
-
 def glue_tampered():
     """Glue over a datum whose transition phi_01 gained a y term."""
     cover = GoodCover.grid(T2, 3)
@@ -41,6 +41,27 @@ def glue_tampered():
     transitions[(0, 1)] = transitions[(0, 1)] + ChartFunction.variable(T2.space, "y")
     bad = CechConnectionData(cover, data.omega, data.alphas, transitions, data.triple_constants)
     return glue_multiplicative_connection(LocalLineBundle(bad), PartitionOfUnity.for_grid(cover))
+
+
+def drop_primitive(chart):
+    """Solved descent data with one chart's primitive alpha left out."""
+    data = solve_cech(constant_two_form(T2, Fraction(1, 3)), GoodCover.grid(T2, 3))
+    alphas = {i: a for i, a in data.alphas.items() if i != chart}
+    return CechConnectionData(
+        data.cover, data.omega, alphas, data.transitions, data.triple_constants
+    )
+
+
+def chern_class_foreign_connection():
+    """c1 of the theta = 2*pi bundle, asked with a connection glued on theta = pi/3."""
+    cover = GoodCover.grid(T2, 3)
+
+    def bundle(theta):
+        return build_local_line_bundle(solve_cech(constant_two_form(T2, theta), cover))
+
+    partition = PartitionOfUnity.for_grid(cover)
+    foreign = glue_multiplicative_connection(bundle(Scalar.pi(1, Fraction(1, 3))), partition)
+    return chern_class(bundle(Scalar.pi(1, 2)), foreign)
 
 
 CASES = [
@@ -119,14 +140,42 @@ CASES = [
         )
         for k in (-1, 9)
     ),
+    (
+        "partition-window-float",
+        lambda: PartitionOfUnity.for_grid(GoodCover.grid(T2, 3)).window(1.5),
+        TypeError,
+        "chart index 1.5 must be an int, not float",
+    ),
+    (
+        "triple-rect-non-nerve",
+        lambda: GoodCover.grid(T2, 3).triple_rect(0, 1, 2),
+        KeyError,
+        "charts 0, 1, 2 are not a nerve triple",
+    ),
+    (
+        "build-missing-primitive",
+        lambda: LocalLineBundle.build(drop_primitive(3)),
+        BundleError,
+        "violates its invariants: {'identity': 'primitive', 'chart': 3, 'missing': True}",
+    ),
+    (
+        "chern-class-foreign-connection",
+        chern_class_foreign_connection,
+        GluingError,
+        "the connection is glued on a different bundle",
+    ),
     *(
         (
-            f"triple-associativity-{k}-points",
-            lambda k=k: triple_check(k),
-            ValueError,
-            "points_per_triple must be >= 4",
+            f"scalar-float-pi-power-{name}",
+            call,
+            TypeError,
+            f"pi power {power} must be an int, not float",
         )
-        for k in (3, 0, -1)
+        for name, call, power in (
+            ("pi-1.5", lambda: Scalar.pi(1.5), 1.5),
+            ("pi-2.0", lambda: Scalar.pi(2.0), 2.0),
+            ("dict-1.5", lambda: Scalar({1.5: 1}), 1.5),
+        )
     ),
     (
         "bidiff-negative-order",

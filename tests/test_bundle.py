@@ -70,11 +70,21 @@ def test_tampered_transition_detected():
     assert any(v["triple"] == (i, j, k) for v in report.violations)
 
 
-def test_diagonal_unit():
-    for theta in (Scalar.zero(), Scalar.rational(Fraction(3, 7))):
-        bundle = make_bundle(theta)
-        result = bundle.diagonal_unit()
-        assert result.passed, result.failures[:1]
+def test_diagonal_unit_transports_unchanged():
+    # the gluing over (x, x) is e^{i(phi(x) - phi(x))} = 1 for every phi,
+    # while a germ over (x, y) with y != x moves by the gluing phase
+    bundle = make_bundle(Scalar.rational(Fraction(3, 7)))
+    value = PolarC(Fraction(7, 2), Scalar.pi(1, Fraction(2, 7)))
+    moved = 0
+    for i, j in bundle.cover.pairs:
+        x, y, _ = bundle._sample_points(bundle.cover.pair_rect(i, j), 3)
+        for a, b in ((i, j), (j, i)):
+            unit = GermElement(b, x, x, PolarC.one())
+            assert bundle.transport(unit, a, anchor=i) == GermElement(a, x, x, PolarC.one())
+            germ = GermElement(b, x, x, value)
+            assert bundle.transport(germ, a, anchor=i).value == value
+            moved += bundle.transport(GermElement(b, x, y, value), a, anchor=i).value != value
+    assert moved > 0
 
 
 def test_honest_cocycle_criterion():

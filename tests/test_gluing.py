@@ -8,18 +8,16 @@ from starbundle.chartfn import ChartFunction
 from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
 from starbundle.gluing import (
-    FormalQuotientWeight,
     GluedConnection,
     GluingError,
     PartitionOfUnity,
-    check_product_additivity,
     chern_class,
     connection_difference,
     glue_hermitian,
     glue_multiplicative_connection,
     left_curvature,
 )
-from starbundle.manifold import ProductChart, Torus
+from starbundle.manifold import Torus
 from starbundle.scalar import Scalar
 
 T2 = Torus(2)
@@ -109,7 +107,6 @@ def test_default_gluing_collapses_to_cech_primitives():
     for i, beta in conn.left_forms.items():
         assert beta == bundle.data.alphas[i]
     assert conn.consistency_report().passed
-    assert conn.multiplicativity_report().passed
     # a glued form shifted by dy breaks every overlap of its chart
     left = dict(conn.left_forms)
     left[0] = left[0] + DifferentialForm.basis(T2, "dy")
@@ -133,8 +130,6 @@ def test_varied_initial_still_consistent():
     part = PartitionOfUnity.for_grid(COVER)
     conn = glue_multiplicative_connection(bundle, part, initial=varied_initial(bundle))
     assert conn.consistency_report().passed
-    report = conn.multiplicativity_report()
-    assert report.passed
     # curvature differs from omega by the exact form d(sum c_j rho_j dx)
     curv = left_curvature(conn)
     x_form = DifferentialForm.basis(T2, "dx")
@@ -204,6 +199,31 @@ def test_two_partitions_differ_by_global_one_form():
     assert cls_a.cohomology_class == cls_b.cohomology_class
 
 
+def test_global_form_guards():
+    # left_curvature and connection_difference return one form only when
+    # every chart carries it and its coefficients are periodic
+    bundle = make_bundle(Fraction(3, 7))
+    part = PartitionOfUnity.for_grid(COVER)
+    conn = glue_multiplicative_connection(bundle, part)
+    x = ChartFunction.variable(T2.space, "x")
+    y = ChartFunction.variable(T2.space, "y")
+    dy = DifferentialForm.basis(T2, "dy")
+
+    def moved(extra, charts):
+        left = {i: b + extra if i in charts else b for i, b in conn.left_forms.items()}
+        return GluedConnection(bundle, part, conn.initial, left)
+
+    everywhere = range(len(COVER.charts))
+    with pytest.raises(GluingError, match="glued curvature is chart-dependent"):
+        left_curvature(moved(dy.multiply_function(x), {0}))
+    with pytest.raises(GluingError, match="glued curvature does not descend to the torus"):
+        left_curvature(moved(dy.multiply_function(x * y), everywhere))
+    with pytest.raises(GluingError, match="connection difference is chart-dependent"):
+        connection_difference(moved(dy, {0}), conn)
+    with pytest.raises(GluingError, match="connection difference does not descend to the torus"):
+        connection_difference(moved(dy.multiply_function(x), everywhere), conn)
+
+
 def test_chern_class_family():
     theta_int = chern_class(make_bundle(Scalar.pi(1, 6)))  # theta = 6*pi = 2*pi*3
     assert theta_int.coefficient == Scalar.rational(3)
@@ -230,28 +250,12 @@ def test_integrality_criterion_both_directions():
         assert closes == cls.is_integral == theta.is_two_pi_integer()
 
 
-def test_product_additivity_check():
-    base = T2.space
-    pair = ProductChart(base.copies(2))
-    f = ChartFunction.cosine(base, "x") + ChartFunction.variable(base, "y")
-    left = DifferentialForm.from_function(T2, f).embed(pair, base.copy_map(1))
-    right = DifferentialForm.from_function(T2, f).embed(pair, base.copy_map(2))
-    dx1 = DifferentialForm.basis(pair, "dx_1")
-    good = left.exterior_d() - right.exterior_d()
-    assert check_product_additivity(good, base)
-    # slot-mixing form fails
-    y2 = ChartFunction.variable(pair.space, "y_2")
-    bad = dx1.multiply_function(y2)
-    assert not check_product_additivity(bad, base)
-
-
 def test_hermitian_gluing():
     bundle = make_bundle(Fraction(3, 7))
     part = PartitionOfUnity.for_grid(COVER)
     flat = {i: ChartFunction.one(T2.space) for i in range(9)}
     metric = glue_hermitian(bundle, part, flat)
     assert metric.weight == ChartFunction.one(T2.space)
-    assert metric.multiplicativity_report().passed
 
     bump = ChartFunction.one(T2.space) + (
         ChartFunction.one(T2.space) + ChartFunction.cosine(T2.space, "x")
@@ -259,7 +263,6 @@ def test_hermitian_gluing():
     weights = {i: bump for i in range(9)}
     metric = glue_hermitian(bundle, part, weights)
     assert metric.weight == bump  # partition averages a constant family
-    assert metric.multiplicativity_report().passed
     dh = DifferentialForm.from_function(T2, bump).exterior_d()
     assert metric.compatible_connection_witness() == (dh.scale(Fraction(1, 2)), bump)
 
@@ -273,20 +276,3 @@ def test_hermitian_rejects_bad_weights():
     local = {i: ChartFunction.variable(T2.space, "x") + 2 for i in range(9)}
     with pytest.raises(GluingError):
         glue_hermitian(bundle, part, local)
-
-
-def test_mismatched_metric_detected():
-    # a deliberately non-product weight fails the cleared-denominator identity
-    base = T2.space
-    pair = base.copies(2)
-    h = ChartFunction.one(base) + ChartFunction.cosine(base, "x").scale(Fraction(1, 2))
-    num = h.embed(pair, base.copy_map(1)) + ChartFunction.cosine(pair, "x_2").scale(
-        Fraction(1, 3)
-    )
-    den = h.embed(pair, base.copy_map(2))
-    bad = FormalQuotientWeight(num, den)
-    assert not bad.is_multiplicative(base)
-    good = FormalQuotientWeight(
-        h.embed(pair, base.copy_map(1)), h.embed(pair, base.copy_map(2))
-    )
-    assert good.is_multiplicative(base)
