@@ -146,6 +146,12 @@ class CechConnectionData:
             for i in charts
             if i not in self.alphas
         ]
+        nerve_pairs = [p for i, j in self.cover.pairs for p in ((i, j), (j, i))]
+        failures += (
+            {"identity": "transition", "pair": pair, "missing": True}
+            for pair in nerve_pairs
+            if pair not in self.transitions
+        )
         failures += (
             {"identity": "curl", "chart": i}
             for i, alpha in self.alphas.items()
@@ -160,13 +166,23 @@ class CechConnectionData:
                 failures.append(
                     {"identity": "antisymmetry", "pair": (i, j), "missing": reverse is None}
                 )
+        nerve = self.cover.triples
+        failures += (
+            {"identity": "triple", "triple": t, "extra": True}
+            for t in self.triple_constants
+            if t not in nerve
+        )
         space = self.torus.space
-        for triple, const in self.triple_constants.items():
-            total = self.triple_sum(*triple)
-            if total != ChartFunction.constant(space, const):
-                found = {"sum": str(total), "stored": str(const)}
-                failures.append({"identity": "triple", "triple": triple, **found})
-        checked = len(charts) + 2 * len(self.transitions) + len(self.triple_constants)
+        for i, j, k in nerve:
+            const = self.triple_constants.get((i, j, k))
+            if const is None:
+                failures.append({"identity": "triple", "triple": (i, j, k), "missing": True})
+            elif {(i, j), (j, k), (k, i)} <= self.transitions.keys():  # else reported missing
+                total = self.triple_sum(i, j, k)
+                if total != ChartFunction.constant(space, const):
+                    found = {"sum": str(total), "stored": str(const)}
+                    failures.append({"identity": "triple", "triple": (i, j, k), **found})
+        checked = len(charts) + len(nerve_pairs) + 2 * len(self.transitions) + len(nerve)
         return CheckReport("cech_descent", checked, failures)
 
 

@@ -52,6 +52,17 @@ def drop_primitive(chart):
     )
 
 
+def edit_datum(transitions=(), constants=None):
+    """Solved descent data with the given transitions dropped and, if
+    given, its triple constants edited in place by ``constants``."""
+    data = solve_cech(constant_two_form(T2, Fraction(3, 7)), GoodCover.grid(T2, 3))
+    phis = {pair: phi for pair, phi in data.transitions.items() if pair not in transitions}
+    consts = dict(data.triple_constants)
+    if constants is not None:
+        constants(consts)
+    return CechConnectionData(data.cover, data.omega, data.alphas, phis, consts)
+
+
 def chern_class_foreign_connection():
     """c1 of the theta = 2*pi bundle, asked with a connection glued on theta = pi/3."""
     cover = GoodCover.grid(T2, 3)
@@ -157,6 +168,26 @@ CASES = [
         lambda: LocalLineBundle.build(drop_primitive(3)),
         BundleError,
         "violates its invariants: {'identity': 'primitive', 'chart': 3, 'missing': True}",
+    ),
+    (
+        "build-missing-transition",
+        lambda: LocalLineBundle.build(edit_datum(transitions=[(0, 1), (1, 0)])),
+        BundleError,
+        "violates its invariants: {'identity': 'transition', 'pair': (0, 1), 'missing': True}",
+    ),
+    (
+        "build-missing-triple-constant",
+        lambda: LocalLineBundle.build(edit_datum(constants=lambda c: c.pop((0, 1, 3)))),
+        BundleError,
+        "violates its invariants: {'identity': 'triple', 'triple': (0, 1, 3), 'missing': True}",
+    ),
+    (
+        "build-extra-triple-constant",
+        lambda: LocalLineBundle.build(
+            edit_datum(constants=lambda c: c.update({(0, 0, 0): Scalar.zero()}))
+        ),
+        BundleError,
+        "violates its invariants: {'identity': 'triple', 'triple': (0, 0, 0), 'extra': True}",
     ),
     (
         "chern-class-foreign-connection",

@@ -1,5 +1,6 @@
 """The triple sums and differentials of a Cech datum are built once each,
-equal a fresh computation, and die with the datum."""
+equal a fresh computation, and die with the datum; the triple law reads
+the sums and evaluates no point."""
 
 import gc
 import weakref
@@ -9,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from starbundle import cech
-from starbundle.bundle import build_local_line_bundle
+from starbundle.bundle import LocalLineBundle, build_local_line_bundle
+from starbundle.chartfn import ChartFunction
 from starbundle.cech import constant_two_form, solve_cech
 from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
@@ -71,6 +73,29 @@ def test_one_op_builds_each_quantity_once(monkeypatch):
     assert sums == Counter({triple: 1 for triple in data.cover.triples})
     for key, phi in data.transitions.items():
         assert sum(f is phi for f in arguments) == 1, key
+
+
+def test_triple_law_evaluates_no_point(monkeypatch):
+    inside = []
+    calls = Counter()
+    real_check = LocalLineBundle.check_triple_associativity
+    real_evaluate = ChartFunction.evaluate
+
+    def staged_check(bundle):
+        inside.append(True)
+        try:
+            return real_check(bundle)
+        finally:
+            inside.pop()
+
+    def counted_evaluate(f, point):
+        calls["triple" if inside else "other"] += 1
+        return real_evaluate(f, point)
+
+    monkeypatch.setattr(LocalLineBundle, "check_triple_associativity", staged_check)
+    monkeypatch.setattr(ChartFunction, "evaluate", counted_evaluate)
+    pipeline_op(Scalar.pi(1, Fraction(2, 5)))
+    assert calls["triple"] == 0
 
 
 @pytest.mark.parametrize("moved", [0, 3], ids=["default", "varied"])

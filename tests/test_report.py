@@ -2,8 +2,9 @@
 
 The fixtures are the passing and failing inputs the module tests already
 use: solved descent data, a transition tampered with a quadratic term,
-alpha_0 + dy, a missing alpha_3, a fractional theta, and the product
-phase x_1 * x_2.
+alpha_0 + dy, a missing alpha_3, a missing or extra triple constant, a
+nerve pair with no transition, a fractional theta, and the product phase
+x_1 * x_2.
 """
 
 import ast
@@ -68,6 +69,20 @@ def without_alpha3():
     return CechConnectionData(COVER, data.omega, alphas, data.transitions, data.triple_constants)
 
 
+def with_constants(edit):
+    data = solved()
+    constants = dict(data.triple_constants)
+    edit(constants)
+    return CechConnectionData(COVER, data.omega, data.alphas, data.transitions, constants)
+
+
+def without_transition_01():
+    data = solved()
+    transitions = dict(data.transitions)
+    del transitions[(0, 1)], transitions[(1, 0)]
+    return CechConnectionData(COVER, data.omega, data.alphas, transitions, data.triple_constants)
+
+
 def connection(broken=False):
     bundle = build_local_line_bundle(solved())
     partition = PartitionOfUnity.for_grid(COVER)
@@ -93,6 +108,15 @@ CASES = {
     "cech-tampered": (lambda: tampered().verify(), False),
     "cech-alpha0-dy": (lambda: alpha0_plus_dy().verify(), False),
     "cech-missing-alpha3": (lambda: without_alpha3().verify(), False),
+    "cech-missing-triple": (
+        lambda: with_constants(lambda c: c.pop(COVER.triples[0])).verify(),
+        False,
+    ),
+    "cech-extra-triple": (
+        lambda: with_constants(lambda c: c.update({(0, 0, 0): Scalar.zero()})).verify(),
+        False,
+    ),
+    "cech-missing-transition": (lambda: without_transition_01().verify(), False),
     "gluing-cocycle": (lambda: build_local_line_bundle(solved()).check_gluing_cocycle(), True),
     "gluing-cocycle-tampered": (lambda: LocalLineBundle(tampered()).check_gluing_cocycle(), False),
     "honest-cocycle-2pi": (
