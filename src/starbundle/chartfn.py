@@ -71,15 +71,6 @@ class ChartSpace:
         """Variable map embedding this space as the j-th factor (1-based)."""
         return {n: f"{n}_{j}" for n in self.names}
 
-    def pair_map(self, a: int, b: int) -> dict[str, str]:
-        """Variable map sending factors 1 and 2 of ``copies(2)`` to factors a
-        and b (1-based) of a larger product."""
-        mapping = {}
-        for n in self.names:
-            mapping[f"{n}_1"] = f"{n}_{a}"
-            mapping[f"{n}_2"] = f"{n}_{b}"
-        return mapping
-
 
 def _quarter_turns(n: int, d: int) -> int:
     """t in 0..3 with exp(2*pi*i*n/d) = i**t, for n/d in (1/4)Z; these are

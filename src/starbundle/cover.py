@@ -8,7 +8,7 @@ pair lifts.  Contractibility is rectangle geometry, checked exactly.
 The nerve is built in integer units of 1/den, where den is the lcm of the
 denominators of every chart centre and halfwidth (1/(8n) for the default
 grid): chart bounds, pair lifts and triple intersections are plain integers,
-and only the rectangles of the nerve triples are stored as Fractions.
+and no overlap rectangle is stored.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class GoodCover:
                 raise ValueError("chart halfwidths must stay below 1/2")
         self._check_coverage()
         self._pair_lifts: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._triple_rects: dict[tuple[int, int, int], Rect] = {}
         self._frame_shifts: dict[tuple[int, int], Mapping[str, Fraction]] = {}
         self._build_nerve()
 
@@ -166,23 +165,15 @@ class GoodCover:
             njk = self._pair_lifts.get((j, k))
             if mj is None or mk is None or njk is None:
                 continue
-            box = []
-            for (lo1, hi1), (lo2, hi2), (lo3, hi3), sj, sk in zip(
-                bounds[i], bounds[j], bounds[k], mj, mk
+            if all(
+                max(lo1, lo2 + sj * den, lo3 + sk * den) < min(hi1, hi2 + sj * den, hi3 + sk * den)
+                for (lo1, hi1), (lo2, hi2), (lo3, hi3), sj, sk in zip(
+                    bounds[i], bounds[j], bounds[k], mj, mk
+                )
             ):
-                lo = max(lo1, lo2 + sj * den, lo3 + sk * den)
-                hi = min(hi1, hi2 + sj * den, hi3 + sk * den)
-                if lo >= hi:
-                    break
-                box.append((lo, hi))
-            else:
                 # pair lift uniqueness forces consistency; assert it
                 if tuple(a - b for a, b in zip(mk, mj)) != njk:
                     raise AssertionError("triple lift inconsistent with pair lifts")
-                self._triple_rects[(i, j, k)] = Rect(
-                    tuple(Fraction(lo + hi, 2 * den) for lo, hi in box),
-                    tuple(Fraction(hi - lo, 2 * den) for lo, hi in box),
-                )
                 triples.append((i, j, k))
         self.triples = tuple(triples)
 
@@ -216,12 +207,10 @@ class GoodCover:
         return rect
 
     def triple_rect(self, i: int, j: int, k: int) -> Rect:
-        """Triple overlap of a nerve triple in chart i's frame, kept from
-        ``_build_nerve``."""
-        rect = self._triple_rects.get((i, j, k))
-        if rect is None:
+        """Triple overlap of a nerve triple in chart i's frame."""
+        if (i, j, k) not in self.triples:
             raise KeyError(f"charts {i}, {j}, {k} are not a nerve triple")
-        return rect
+        return self.pair_rect(i, j).intersect(self.pair_rect(i, k))
 
     def complete_pairwise(self) -> bool:
         n = len(self.charts)

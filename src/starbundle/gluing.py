@@ -123,7 +123,9 @@ class PartitionOfUnity:
         return [w0, w1, w2]
 
     @staticmethod
-    def _axis_family_4(space: ChartSpace, name: str) -> list[ChartFunction]:
+    def _axis_family_4(space: ChartSpace, name: str, variant: str) -> list[ChartFunction]:
+        if variant != "primary":
+            raise GluingError(f"no window family {variant!r} for a 4-grid axis; only 'primary'")
         windows = []
         for k in range(4):
             cos_k = ChartFunction.cosine(space, name).shift({name: Fraction(-k, 4)})
@@ -143,7 +145,7 @@ class PartitionOfUnity:
             if n == 3:
                 axis_windows.append(PartitionOfUnity._axis_family_3(space, name, family))
             elif n == 4:
-                axis_windows.append(PartitionOfUnity._axis_family_4(space, name))
+                axis_windows.append(PartitionOfUnity._axis_family_4(space, name, family))
             else:
                 raise GluingError(
                     f"no exact rational window family for a {n}-grid axis"

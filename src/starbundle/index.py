@@ -40,6 +40,9 @@ class EllipticSymbolClass:
     __slots__ = ("rank_e", "rank_f", "gamma")
 
     def __init__(self, rank_e: int, rank_f: int, gamma: CohomologyClass):
+        for rank in (rank_e, rank_f):
+            if not isinstance(rank, int):
+                raise TypeError(f"rank must be an int, not {type(rank).__name__}")
         if rank_e != rank_f:
             raise ValueError("ellipticity forces equal ranks")
         if rank_e < 0:

@@ -12,6 +12,7 @@ import pytest
 from starbundle.bundle import BundleError, LocalLineBundle, build_local_line_bundle
 from starbundle.cech import CechConnectionData, constant_two_form, solve_cech
 from starbundle.chartfn import ChartFunction, ChartSpace
+from starbundle.cohomology import CohomologyClass
 from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
 from starbundle.gluing import (
@@ -20,6 +21,7 @@ from starbundle.gluing import (
     chern_class,
     glue_multiplicative_connection,
 )
+from starbundle.index import EllipticSymbolClass
 from starbundle.manifold import Torus
 from starbundle.poisson import PoissonStructure
 from starbundle.scalar import Scalar
@@ -157,6 +159,15 @@ CASES = [
         TypeError,
         "chart index 1.5 must be an int, not float",
     ),
+    *(
+        (
+            f"partition-4-grid-{family}",
+            lambda family=family: PartitionOfUnity.for_grid(GoodCover.grid(T2, 4), family),
+            GluingError,
+            f"no window family {family!r} for a 4-grid axis",
+        )
+        for family in ("bogus", "alternate")
+    ),
     (
         "triple-rect-non-nerve",
         lambda: GoodCover.grid(T2, 3).triple_rect(0, 1, 2),
@@ -207,6 +218,12 @@ CASES = [
             ("pi-2.0", lambda: Scalar.pi(2.0), 2.0),
             ("dict-1.5", lambda: Scalar({1.5: 1}), 1.5),
         )
+    ),
+    (
+        "elliptic-class-float-rank",
+        lambda: EllipticSymbolClass(1.5, 1.5, CohomologyClass.zero(T2)),
+        TypeError,
+        "rank must be an int, not float",
     ),
     (
         "bidiff-negative-order",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,30 @@ def test_triple_law_defect_is_symbolic():
     report = LocalLineBundle(tampered((Y * Y).scale(Fraction(1, 5)))).check_triple_associativity()
     assert [v["triple"] for v in report.violations] == sorted(BROKEN)
     assert {v["phase_defect"] for v in report.violations} == {"(1/5)*y_4^2 + (-1/5)*y_3^2"}
+
+
+def test_verify_names_every_triple_the_gluing_cocycle_names():
+    """build relies on verify for the cocycle law: on tampered data, each
+    triple whose sum check_gluing_cocycle finds nonconstant is also a
+    "triple" failure of verify."""
+    data = solve_cech(constant_two_form(T2, Scalar.rational(Fraction(3, 7))), COVER)
+    terms = (X, Y, X * Y, Y * Y, ChartFunction.cosine(T2.space, "x"), ChartFunction.one(T2.space))
+    rng = random.Random(0)
+    named = 0
+    for _ in range(20):
+        transitions = dict(data.transitions)
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.choice(COVER.pairs)[:: rng.choice((1, -1))]
+            scale = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 5))
+            transitions[(i, j)] = transitions[(i, j)] + rng.choice(terms).scale(scale)
+            if rng.random() < 0.5:  # keep antisymmetry, so only the triple law can fail
+                transitions[(j, i)] = (-transitions[(i, j)]).shift(COVER.frame_shift(j, i))
+        bad = CechConnectionData(COVER, data.omega, data.alphas, transitions, data.triple_constants)
+        cocycle = {f["triple"] for f in LocalLineBundle(bad).check_gluing_cocycle().failures}
+        failing = {f["triple"] for f in bad.verify().failures if f["identity"] == "triple"}
+        assert cocycle <= failing
+        named += len(cocycle)
+    assert named > 0
 
 
 def test_polar_arithmetic():

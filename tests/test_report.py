@@ -3,8 +3,7 @@
 The fixtures are the passing and failing inputs the module tests already
 use: solved descent data, a transition tampered with a quadratic term,
 alpha_0 + dy, a missing alpha_3, a missing or extra triple constant, a
-nerve pair with no transition, a fractional theta, and the product phase
-x_1 * x_2.
+nerve pair with no transition and a fractional theta.
 """
 
 import ast
@@ -19,7 +18,6 @@ from starbundle import CheckReport
 from starbundle.bundle import LocalLineBundle, build_local_line_bundle
 from starbundle.cech import CechConnectionData, constant_two_form, solve_cech
 from starbundle.chartfn import ChartFunction
-from starbundle.circle import LocalCircleFunction, check_circle_cocycle
 from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
 from starbundle.gluing import (
@@ -36,7 +34,6 @@ from starbundle.index import (
 from starbundle.manifold import Torus
 from starbundle.scalar import Scalar
 
-S1 = Torus(1)
 T2 = Torus(2)
 COVER = GoodCover.grid(T2, 3)
 THETA = Scalar.rational(Fraction(3, 7))
@@ -94,12 +91,6 @@ def connection(broken=False):
     return GluedConnection(bundle, partition, conn.initial, left)
 
 
-def product_phase():
-    pair = S1.space.copies(2)
-    phi = ChartFunction.variable(pair, "x_1") * ChartFunction.variable(pair, "x_2")
-    return LocalCircleFunction(S1, phi)
-
-
 A = EllipticSymbolClass.on_torus2(T2, 2, 5)
 OMEGA = constant_two_form(T2, THETA)
 
@@ -129,8 +120,6 @@ CASES = {
     ),
     "consistency": (lambda: connection().consistency_report(), True),
     "consistency-dy": (lambda: connection(broken=True).consistency_report(), False),
-    "circle-slope": (lambda: check_circle_cocycle(LocalCircleFunction.from_slopes(S1, [3])), True),
-    "circle-product-phase": (lambda: check_circle_cocycle(product_phase()), False),
     "log-mult": (
         lambda: check_log_multiplicativity(A, EllipticSymbolClass.on_torus2(T2, -1, 1), OMEGA, T2),
         True,
@@ -162,8 +151,8 @@ def test_every_check_reports_one_shape(case):
 
 
 # The index checks compare two distinct computations of one theorem, so no
-# input is meant to fail them.  Every other check takes Cech, bundle,
-# connection or circle data, and a check no row fails may hold for all inputs.
+# input is meant to fail them.  Every other check takes Cech, bundle or
+# connection data, and a check no row fails may hold for all inputs.
 INDEX_CHECKS = {"log_multiplicativity", "homotopy_invariance", "tensor_consistency"}
 
 
