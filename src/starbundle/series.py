@@ -12,8 +12,9 @@ from .chartfn import ChartFunction, ChartSpace, CoeffLike
 
 
 def _check_order(n, what: str) -> int:
-    """``n`` when it is an int >= 0; a named TypeError or ValueError if not."""
-    if not isinstance(n, int):
+    """``n`` when it is an int >= 0, not a bool; a named TypeError or
+    ValueError if not."""
+    if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"{what} must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError(f"{what} must be >= 0, not {n}")

@@ -9,39 +9,52 @@ so B_0 is the pointwise product and B_1 is the Poisson bracket.  For a
 constant bivector this product is associative at every truncation order,
 which the toolkit verifies by exact expansion rather than assuming.
 
+Every product runs through one kernel, ``PureStarProduct._star_sum``: the
+sum of sign * (x * y) over a list of signed pairs of series, up to order K.
+Its order k adds every B_m(x_j, y_l) with j + l + m = k, from every pair.
+``multiply`` is the kernel on one pair and ``commutator`` on (a, b, +1) and
+(b, a, -1).  ``check_associativity`` forms a*b and b*c and takes the defect
+(a*b)*c - a*(b*c) as one kernel call on (a*b, c, +1) and (a, b*c, -1), so
+the two outer products are never formed.  ``bidiff`` is the one-pair,
+one-order case.
+
 On Fourier modes e_k = exp(2*pi*i*k.u) every derivative is a multiplication
 by 2*pi*i*k_i, so the operator has the closed form
 
     B_m(e_k, e_l) = (-4*pi^2 * k.Pi.l)^m / m! * e_{k+l}.
 
-``PureStarProduct.bidiff`` uses it whenever both arguments are pure Fourier
-sums.  Any monomial factor sends B_m through the general path, which works
-on terms rather than on derivative functions.  A term x^a * e_k of f has
-d^g (x^a * e_k) = sum_b w * (i*pi)^s * x^(a-b) * e_k with integer weights w
-(falling factorials times (2k)^s by Leibniz, s = |g - b|), so each operand's
-d^g is a *term map*: source term -> output term, w, s.  B_m then sums, per
-output term, coeff * w_a * w_b * (i*pi)^(s_a+s_b) * a_t b_u over the
-multisets of m Pi entries, with every a_t b_u formed once as integer
-numerators over one denominator, and reduces each output coefficient once.
-Both paths give the same exact result.
+The kernel takes a pair of pure Fourier sums in that form
+(``_fourier_bidiff``; ``a * b`` at m = 0), and sums those parts as chart
+functions.  Any monomial factor sends the pair through the general path,
+which works on terms rather than on derivative functions.  A term
+x^a * e_k of f has d^g (x^a * e_k) = sum_b w * (i*pi)^s * x^(a-b) * e_k with
+integer weights w (falling factorials times (2k)^s by Leibniz,
+s = |g - b|), so each operand's d^g is a *term map*: source term -> output
+term, w, s.  The map of g is
+derived from the map of g less one derivative, one axis at a time, so a term
+that dies at some order costs nothing above it.  B_m then sums, per output
+term, coeff * w_a * w_b * (i*pi)^(s_a+s_b) * a_t b_u over the multisets of m
+Pi entries, with every a_t b_u formed once as integer numerators.  All the
+general parts of one output order, from every pair and every m (B_0
+included), are added over one common denominator, and each output
+coefficient is reduced once.  Both paths give the same exact result.
 
-``multiply`` calls ``bidiff`` once per order on the same coefficient pairs,
-so each ``multiply`` call keeps one work table (``_Work``) that its
-``bidiff`` calls share: the term maps of every operand, the pair products
-of every (a, b), the multisets of Pi entries with their weights for each
-m, and the Fourier pairs of each (a, b) grouped by k+l and k.Pi.l.  The
-table is passed in a context variable that ``multiply`` resets before it
-returns, so nothing outlives the call; a ``bidiff`` called outside
-``multiply`` builds its own.
+Each ``multiply``, ``commutator``, ``bidiff`` or associativity sample keeps
+one work table (``_Work``), which the calls nested in it share: the term
+maps of every operand, the pair products of every (a, b), the multisets of
+Pi entries with their weights for each m, and the Fourier pairs of each
+(a, b) grouped by k+l and k.Pi.l.  So a*b, b*c and the defect of one sample
+build each of these once.  The table is passed in a context variable that
+is reset before the outermost call returns, so nothing outlives it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-import itertools
-from math import comb, lcm, perm, prod
-from operator import add, ge, sub
+from math import lcm
+from operator import add
 from typing import Sequence
 
 from .chartfn import ChartFunction, _chartfn
@@ -55,8 +68,8 @@ _MINUS_FOUR_PI2 = _new(Scalar, 1, {2: (-4, 0)})
 _ONE = _new(CScalar, 1, {0: (1, 0)})
 
 
-def _bump(order: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return order[:i] + (order[i] + 1,) + order[i + 1 :]
+def _bump(order: tuple[int, ...], i: int, by: int = 1) -> tuple[int, ...]:
+    return order[:i] + (order[i] + by,) + order[i + 1 :]
 
 
 def _numerators(c: CScalar, scale: int) -> list:
@@ -64,33 +77,30 @@ def _numerators(c: CScalar, scale: int) -> list:
     return [(k, x * scale, y * scale) for k, (x, y) in c._num.items()]
 
 
-def _term_map(f: ChartFunction, order: tuple[int, ...]) -> list:
-    """d^order f as [(t, key, w, s)]: term t of f puts w * (i*pi)^s times its
-    coefficient at ``key``, with w an integer.  By Leibniz, an axis with
-    exponent e, frequency k and g derivatives yields x^(e-b) times
-    C(g, b) * e!/(e-b)! * (2k)^(g-b) * (i*pi)^(g-b) for each b <= min(e, g),
-    only b = g when k = 0."""
-    out = []
-    for t, (mon, freq) in enumerate(f._terms):
-        if not any(freq):  # a monomial: the falling factorials e!/(e-g)!
-            if all(map(ge, mon, order)):
-                out.append((t, (tuple(map(sub, mon, order)), freq), prod(map(perm, mon, order)), 0))
-            continue
-        axes = [
-            [
-                (e - b, comb(g, b) * perm(e, b) * (2 * k) ** (g - b), g - b)
-                for b in range(min(e, g) + 1)
-                if k or b == g
-            ]
-            for e, k, g in zip(mon, freq, order)
+def _derive_map(parent: list, i: int) -> list:
+    """The term map of one more derivative along axis i.  An entry with
+    exponent e and frequency k on axis i yields e times x^(e-1) and, when
+    k != 0, 2k * (i*pi) times the same term; entries of one source term that
+    land on one output term are merged, so their weights add up to the
+    Leibniz coefficients."""
+    if not any(freq[i] for _, (_, freq), _, _ in parent):  # nothing to merge
+        return [
+            (t, (_bump(mon, i, -1), freq), w * mon[i], s)
+            for t, (mon, freq), w, s in parent
+            if mon[i]
         ]
-        for picks in itertools.product(*axes):
-            w, s = 1, 0
-            for _, wi, si in picks:
-                w *= wi
-                s += si
-            out.append((t, (tuple([e for e, _, _ in picks]), freq), w, s))
-    return out
+    out: dict = {}  # (t, key) -> (w, s)
+    for t, (mon, freq), w, s in parent:
+        e, k = mon[i], freq[i]
+        if e:
+            at = (t, (_bump(mon, i, -1), freq))
+            got = out.get(at)
+            out[at] = (w * e, s) if got is None else (got[0] + w * e, s)
+        if k:
+            at = (t, (mon, freq))
+            got = out.get(at)
+            out[at] = (2 * k * w, s + 1) if got is None else (got[0] + 2 * k * w, s + 1)
+    return [(t, key, w, s) for (t, key), (w, s) in out.items()]
 
 
 def _sum(space, parts: list[ChartFunction]) -> ChartFunction:
@@ -107,32 +117,39 @@ def _sum(space, parts: list[ChartFunction]) -> ChartFunction:
 
 
 class _Work:
-    """What the ``bidiff`` calls of one ``multiply`` share, each entry built
-    when an order first needs it.  Operands are keyed by ``id`` and held in
-    ``operands``, so no id is reused while the table lives.
+    """What the kernel calls of one star-product call share, each entry
+    built when an order first needs it.  Operands are keyed by ``id`` and
+    held in ``operands``, so no id is reused while the table lives.
 
     The general path reads the term map of each operand and derivative
-    order (``_term_map``) and the pair products a_t b_u of each (a, b),
-    which every order m reuses; the Fourier path reads the pair groups and
-    the powers of w."""
+    order and the pair products a_t b_u of each (a, b), which every order m
+    reuses; the Fourier path reads the pair groups and the powers of w."""
 
     def __init__(self, product: "PureStarProduct"):
         self.product = product
         self.entries = [(i, j, CScalar.coerce(p)) for i, j, p in product.poisson.nonzero_entries()]
         self.operands: dict = {}  # id(f) -> f
-        self.maps: dict = {}  # (id(f), order) -> _term_map(f, order)
+        self.maps: dict = {}  # (id(f), order) -> term map of d^order f
         self.products: dict = {}  # (id(a), id(b)) -> (den, rows)
         zero = (0,) * product.space.dim
-        # m -> [(order on a, order on b, coeff, last entry, its run length)]
-        self.multisets: dict = {0: [(zero, zero, _ONE, 0, 0)]}
+        # m -> ([(order on a, order on b, coeff, last entry, its run length)], lcm of coeff dens)
+        self.multisets: dict = {0: ([(zero, zero, _ONE, 0, 0)], 1)}
         self.pairs: dict = {}  # (id(a), id(b)) -> {ns: {k+l: sum of a_k b_l}}
         self.powers: dict = {}  # ns -> [w^m/m! for m = 0, 1, ...], None for s = 0
 
     def term_map(self, f: ChartFunction, order: tuple[int, ...]) -> list:
+        """d^order f as [(t, key, w, s)]: term t of f puts w * (i*pi)^s times
+        its coefficient at ``key``, with w an integer.  Built from the map of
+        order less one derivative on its first nonzero axis."""
         got = self.maps.get((id(f), order))
         if got is None:
             self.operands[id(f)] = f
-            got = self.maps[(id(f), order)] = _term_map(f, order)
+            i = next((i for i, g in enumerate(order) if g), None)
+            if i is None:
+                got = [(t, key, 1, 0) for t, key in enumerate(f._terms)]
+            else:
+                got = _derive_map(self.term_map(f, _bump(order, i, -1)), i)
+            self.maps[(id(f), order)] = got
         return got
 
     def pair_products(self, a: ChartFunction, b: ChartFunction) -> tuple:
@@ -147,22 +164,24 @@ class _Work:
             got = self.products[(id(a), id(b))] = (den, rows)
         return got
 
-    def orders(self, m: int) -> list:
-        """The multisets of m Pi entries, each extending one of m - 1 by an
-        entry no lower than its last.  A multiset stands for m!/prod(run!)
+    def orders(self, m: int) -> tuple:
+        """(multisets, den): the multisets of m Pi entries, each extending
+        one of m - 1 by an entry no lower than its last, and the lcm of
+        their coeffs' denominators.  A multiset stands for m!/prod(run!)
         index sequences, so with B_m's 1/m! its coeff is the product of its
         entries over prod(run!)."""
         got = self.multisets.get(m)
         if got is None:
-            got = self.multisets[m] = []
-            for order_a, order_b, coeff, last, run in self.orders(m - 1):
+            rows = []
+            for order_a, order_b, coeff, last, run in self.orders(m - 1)[0]:
                 for idx in range(last, len(self.entries)):
                     i, j, p = self.entries[idx]
                     run_idx = run + 1 if idx == last else 1
                     c = coeff * p
                     if run_idx > 1:
                         c = c * _new(CScalar, run_idx, {0: (1, 0)})
-                    got.append((_bump(order_a, i), _bump(order_b, j), c, idx, run_idx))
+                    rows.append((_bump(order_a, i), _bump(order_b, j), c, idx, run_idx))
+            got = self.multisets[m] = (rows, lcm(*(c._den for _, _, c, _, _ in rows)))
         return got
 
     def fourier_groups(self, a: ChartFunction, b: ChartFunction) -> dict:
@@ -194,13 +213,24 @@ class _Work:
         return got
 
 
-# the table of the ``multiply`` call in progress, if any
+# the table of the star-product call in progress, if any
 _WORK: ContextVar[_Work | None] = ContextVar("star_work", default=None)
 
 
-def _work(product: "PureStarProduct") -> _Work:
+@contextmanager
+def _shared_work(product: "PureStarProduct"):
+    """The table of the call in progress on ``product``, or a new one that
+    the calls nested in this one share and that is dropped when it ends."""
     work = _WORK.get()
-    return work if work is not None and work.product is product else _Work(product)
+    if work is not None and work.product is product:
+        yield work
+        return
+    work = _Work(product)
+    token = _WORK.set(work)
+    try:
+        yield work
+    finally:
+        _WORK.reset(token)
 
 
 @dataclass(frozen=True)
@@ -217,38 +247,56 @@ class PureStarProduct:
         if isinstance(a, ChartFunction):
             if K is None:
                 raise ValueError("a truncation order K is required for plain functions")
-            return FormalSeries.constant(a, K)
+            a = FormalSeries.constant(a, K)
+        elif not isinstance(a, FormalSeries):
+            raise TypeError(
+                "star-product operands must be ChartFunctions or FormalSeries, "
+                f"not {type(a).__name__}"
+            )
+        if a.space != self.space:
+            raise ValueError("star-product inputs live on the wrong chart")
         return a
 
     def bidiff(self, m: int, a: ChartFunction, b: ChartFunction) -> ChartFunction:
         """The order-m bidifferential operator applied to (a, b).
 
         On two pure Fourier sums B_m is taken in closed form
-        (``_fourier_bidiff``); otherwise as m-fold contracted derivatives
-        (``_derivative_bidiff``).  Both give the same exact result.
+        (``_fourier_bidiff``); otherwise by the general path of the kernel
+        (``_general_sum``).  Both give the same exact result.
         """
         _check_order(m, "bidifferential order")
+        for f in (a, b):
+            if not isinstance(f, ChartFunction):
+                raise TypeError(f"bidiff operands must be ChartFunctions, not {type(f).__name__}")
         if a.space != self.space or b.space != self.space:
             raise ValueError("star-product inputs live on the wrong chart")
-        if m == 0:
-            return a * b
-        if a.is_trig() and b.is_trig():
-            return self._fourier_bidiff(m, a, b)
-        return self._derivative_bidiff(m, a, b)
+        with _shared_work(self) as work:
+            if a.is_trig() and b.is_trig():
+                return a * b if m == 0 else self._fourier_bidiff(work, m, a, b)
+            return self._general_sum(work, [(m, a, b, 1)])
 
-    def _derivative_bidiff(self, m: int, a: ChartFunction, b: ChartFunction) -> ChartFunction:
-        """B_m(a, b) for m >= 1 from the term maps; any inputs.
+    def _general_sum(self, work: _Work, parts: list) -> ChartFunction:
+        """The sum of sign * B_m(x, y) over ``parts`` (m, x, y, sign), for
+        any inputs.  Every part is added by ``_add_bidiff`` into one dict of
+        integer numerators over the lcm of the parts' denominators, and each
+        output coefficient is reduced once."""
+        den = lcm(*(work.pair_products(x, y)[0] * work.orders(m)[1] for m, x, y, _ in parts))
+        out: dict = {}  # key -> {pi power: (re, im)} over den
+        for m, x, y, sign in parts:
+            self._add_bidiff(work, out, den, sign, m, x, y)
+        return _chartfn(self.space, {key: _reduce(CScalar, den, num) for key, num in out.items()})
+
+    def _add_bidiff(self, work: _Work, out: dict, den: int, sign: int, m: int, a, b) -> None:
+        """Add sign * B_m(a, b) to ``out``, integer numerators over ``den``,
+        a multiple of the pair products' denominator times the multisets'.
 
         B_m sums coeff * (d^order_a a)(d^order_b b) over the multisets of m
         Pi entries.  Each term of that sum is the multiset's coeff times a
         pair product a_t b_u times the weights w * (i*pi)^s of the two term
-        maps, added as integer numerators over one common denominator; each
-        output coefficient is reduced once."""
-        work = _work(self)
-        den, rows = work.pair_products(a, b)
-        orders = work.orders(m)
-        den_c = lcm(*(c._den for _, _, c, _, _ in orders))
-        out: dict = {}  # key -> {pi power: (re, im)} over den * den_c
+        maps."""
+        pden, rows = work.pair_products(a, b)
+        orders, den_c = work.orders(m)
+        scale = sign * (den // (pden * den_c))
         for order_a, order_b, c, _, _ in orders:
             map_a = work.term_map(a, order_a)
             if not map_a:
@@ -256,10 +304,12 @@ class PureStarProduct:
             map_b = work.term_map(b, order_b)
             if not map_b:
                 continue
+            cs = _numerators(c, scale * (den_c // c._den))
             for t, (mon_a, freq_a), wa, sa in map_a:
                 row = rows[t]
                 cw = []  # coeff * wa * (i*pi)^sa
-                for k, x, y in _numerators(c, wa * (den_c // c._den)):
+                for k, x, y in cs:
+                    x, y = x * wa, y * wa
                     for _ in range(sa % 4):
                         x, y = -y, x
                     cw.append((k + sa, x, y))
@@ -277,10 +327,10 @@ class PureStarProduct:
                             k = k1 + k2 + sb
                             p = acc.get(k)
                             acc[k] = (x, y) if p is None else (p[0] + x, p[1] + y)
-        den *= den_c
-        return _chartfn(self.space, {key: _reduce(CScalar, den, num) for key, num in out.items()})
 
-    def _fourier_bidiff(self, m: int, a: ChartFunction, b: ChartFunction) -> ChartFunction:
+    def _fourier_bidiff(
+        self, work: _Work, m: int, a: ChartFunction, b: ChartFunction
+    ) -> ChartFunction:
         """B_m(a, b) for m >= 1 and pure Fourier sums a, b, in closed form.
 
         The pairs are grouped by k+l and by the integers that make up
@@ -288,7 +338,6 @@ class PureStarProduct:
         shared by every order) is scaled by w^m/m!, w = -4*pi^2*s.  A pair
         with s = 0 contributes nothing.
         """
-        work = _work(self)
         zero = (0,) * self.space.dim
         out: dict = {}
         for ns, group in work.fourier_groups(a, b).items():
@@ -302,42 +351,58 @@ class PureStarProduct:
                 out[key] = term if acc is None else acc + term
         return _chartfn(self.space, out)
 
-    def multiply(self, a: StarInput, b: StarInput, K: int | None = None) -> FormalSeries:
-        """a * b with c_k = sum_{j+l+m=k} B_m(a_j, b_l), each B_m from ``bidiff``
-        (in closed form when a_j and b_l are pure Fourier sums).
+    def _star_sum(self, pairs: list, K: int | None) -> FormalSeries:
+        """The sum of sign * (x * y) over ``pairs`` (x, y, sign) of star
+        inputs, truncated at K and at every operand's order.
 
-        The ``bidiff`` calls of one ``multiply`` share one work table: each
-        coefficient's term maps, the pair products and Fourier pair groups
-        of each (a_j, b_l) and the Pi multisets of each order are computed
-        once for all orders.  The table is dropped when the call returns.
-        The B_m of one order are summed into one dict."""
+        Order k adds sign * B_m(x_j, y_l) for every j + l + m = k with x_j
+        and y_l nonzero: two pure Fourier sums as ``x_j * y_l`` at m = 0 and
+        by ``_fourier_bidiff`` above, and all the other parts of the order
+        in one ``_general_sum``."""
         if K is not None:
             _check_order(K, "truncation order K")
-        sa = self._promote(a, K)
-        sb = self._promote(b, K)
-        if sa.space != self.space or sb.space != self.space:
-            raise ValueError("star-product inputs live on the wrong chart")
-        kmax = min(sa.K, sb.K)
+        pairs = [(self._promote(x, K), self._promote(y, K), sign) for x, y, sign in pairs]
+        kmax = min(s.K for x, y, _ in pairs for s in (x, y))
         if K is not None:
             kmax = min(kmax, K)
-        token = _WORK.set(_Work(self))
-        try:
-            coeffs = []
+
+        def nonzero(s: FormalSeries) -> list:
+            """(order, coefficient, is it a pure Fourier sum) of s's nonzero
+            coefficients."""
+            return [(j, f, f.is_trig()) for j, f in enumerate(s.coeffs) if not f.is_zero()]
+
+        sides = [(nonzero(x), nonzero(y), sign) for x, y, sign in pairs]
+        coeffs = []
+        with _shared_work(self) as work:
             for k in range(kmax + 1):
-                parts = [
-                    self.bidiff(k - j - l, sa.coeffs[j], sb.coeffs[l])
-                    for j in range(k + 1)
-                    if not sa.coeffs[j].is_zero()
-                    for l in range(k - j + 1)
-                    if not sb.coeffs[l].is_zero()
-                ]
-                coeffs.append(_sum(self.space, parts))
-        finally:
-            _WORK.reset(token)
+                fourier, general = [], []
+                for xs, ys, sign in sides:
+                    for j, x, x_trig in xs:
+                        for l, y, y_trig in ys:
+                            m = k - j - l
+                            if m < 0:
+                                break
+                            if x_trig and y_trig:
+                                f = x * y if m == 0 else self._fourier_bidiff(work, m, x, y)
+                                fourier.append(f if sign > 0 else -f)
+                            else:
+                                general.append((m, x, y, sign))
+                if general:
+                    fourier.append(self._general_sum(work, general))
+                coeffs.append(_sum(self.space, fourier))
         return FormalSeries(self.space, coeffs)
 
+    def multiply(self, a: StarInput, b: StarInput, K: int | None = None) -> FormalSeries:
+        """a * b with c_k = sum_{j+l+m=k} B_m(a_j, b_l) (``_star_sum`` on one
+        pair).  The table of the call computes each coefficient's term maps,
+        the pair products and Fourier pair groups of each (a_j, b_l) and the
+        Pi multisets of each order once for all orders, and is dropped when
+        the call returns."""
+        return self._star_sum([(a, b, 1)], K)
+
     def commutator(self, a: StarInput, b: StarInput, K: int | None = None) -> FormalSeries:
-        return self.multiply(a, b, K) - self.multiply(b, a, K)
+        """a * b - b * a as one ``_star_sum`` on (a, b, +1) and (b, a, -1)."""
+        return self._star_sum([(a, b, 1), (b, a, -1)], K)
 
 
 @dataclass(frozen=True)
@@ -352,11 +417,14 @@ class AssociativityReport:
         return not self.violations
 
 
-def _associator_defect(product, triple, K):
+def _associator(product: PureStarProduct, triple: tuple, K: int) -> FormalSeries:
+    """(a*b)*c - a*(b*c) as one ``_star_sum`` on (a*b, c, +1) and
+    (a, b*c, -1); a*b, b*c and the defect share one work table."""
     a, b, c = triple
-    left = product.multiply(product.multiply(a, b, K), c, K)
-    right = product.multiply(a, product.multiply(b, c, K), K)
-    return left - right
+    with _shared_work(product):
+        ab = product.multiply(a, b, K)
+        bc = product.multiply(b, c, K)
+        return product._star_sum([(ab, c, 1), (a, bc, -1)], K)
 
 
 def check_associativity(
@@ -374,7 +442,12 @@ def check_associativity(
         raise ValueError("check_associativity needs at least one sample triple")
     violations = []
     for index, triple in enumerate(samples):
-        defect = _associator_defect(product, triple, K)
+        if not isinstance(triple, (tuple, list)) or len(triple) != 3:
+            got = type(triple).__name__
+            if isinstance(triple, (tuple, list)):
+                got = f"{len(triple)} entries"
+            raise ValueError(f"sample {index} is not a triple (a, b, c): {got}")
+        defect = _associator(product, triple, K)
         order = defect.first_nonzero_order()
         if order is not None:
             violations.append(
@@ -403,8 +476,6 @@ def star_trace(a: StarInput, product: PureStarProduct, K: int | None = None) -> 
     if not all(space.periodic):
         raise ValueError("the star-algebra trace is defined on torus charts only")
     series = product._promote(a, K)
-    if series.space != space:
-        raise ValueError("series lives on the wrong chart")
     consts = []
     for c in series.coeffs:
         mean = c.torus_mean()

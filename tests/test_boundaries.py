@@ -262,6 +262,39 @@ CASES = [
         "needs at least one sample",
     ),
     (
+        "associativity-bool-K",
+        lambda: check_associativity(S2, [(U, U, U)], True),
+        TypeError,
+        "truncation order K must be an int, not bool",
+    ),
+    (
+        "bidiff-bool-order",
+        lambda: S2.bidiff(True, U, U),
+        TypeError,
+        "bidifferential order must be an int, not bool",
+    ),
+    *(
+        (
+            f"associativity-sample-{name}",
+            lambda sample=sample: check_associativity(S2, [(U, U, U), sample], 2),
+            ValueError,
+            f"sample 1 is not a triple (a, b, c): {kind}",
+        )
+        for name, sample, kind in (("pair", (U, U), "2 entries"), ("function", U, "ChartFunction"))
+    ),
+    (
+        "multiply-int-operand",
+        lambda: S2.multiply(3, U, 2),
+        TypeError,
+        "star-product operands must be ChartFunctions or FormalSeries, not int",
+    ),
+    (
+        "bidiff-series-operand",
+        lambda: S2.bidiff(1, FormalSeries.constant(U, 2), U),
+        TypeError,
+        "bidiff operands must be ChartFunctions, not FormalSeries",
+    ),
+    (
         "series-constant-negative-K",
         lambda: FormalSeries.constant(U, -1),
         ValueError,

@@ -190,21 +190,25 @@ def test_associativity_with_unit_triple(rng):
     assert report.passed
 
 
-def test_associativity_detects_violation():
-    # a deliberately broken first-order term a*(d_x b) is not a Hochschild
-    # cocycle: the associator picks up -a*b*(d_x c) already at order t^1
-    class Broken(PureStarProduct):
-        def bidiff(self, m, a, b):
-            if m == 1:
-                return a * b.derive("x")
-            return super().bidiff(m, a, b)
+class BrokenFirstOrder(PureStarProduct):
+    """B_1 replaced by a*(d_x b), that is B_0(a, d_x b), on the general path.
+    It is not a Hochschild cocycle: the associator picks up -a*b*(d_x c)
+    already at order t^1."""
 
-    broken = Broken(P2)
+    def _add_bidiff(self, work, out, den, sign, m, a, b):
+        if m == 1:
+            m, b = 0, b.derive("x")
+        super()._add_bidiff(work, out, den, sign, m, a, b)
+
+
+def test_associativity_detects_violation():
+    broken = BrokenFirstOrder(P2)
     triple = (Y, Y, X)
     report = check_associativity(broken, [triple], K=3)
     assert not report.passed
     assert report.violations[0]["first_nonzero_order"] == 1
     assert report.verified_order == 0
+    assert report.violations[0]["coefficient"] == "(-1)*y^2"
 
 
 def test_star_trace_examples():
@@ -294,11 +298,16 @@ def series_by_orders(product, sa, sb, K, bidiff):
     return coeffs
 
 
+def general_bidiff(product, m, a, b):
+    """B_m(a, b) by the general path of the kernel, whatever the inputs."""
+    return product._general_sum(star._Work(product), [(m, a, b, 1)])
+
+
 def derivative_series(product, sa, sb, K):
-    """Every B_m with m >= 1 from iterated derivatives, the general path."""
+    """Every B_m with m >= 1 from the term maps, the general path."""
     return series_by_orders(
         product, sa, sb, K,
-        lambda m, a, b: a * b if m == 0 else product._derivative_bidiff(m, a, b),
+        lambda m, a, b: a * b if m == 0 else general_bidiff(product, m, a, b),
     )
 
 
@@ -310,10 +319,10 @@ def derivative_series(product, sa, sb, K):
 def test_fourier_path_matches_bidiff(rng, monkeypatch, space, K, scale):
     product = PureStarProduct(PoissonStructure.standard(space, scale))
     derivative_calls = []
-    general = PureStarProduct._derivative_bidiff
+    general = PureStarProduct._add_bidiff
     monkeypatch.setattr(
         PureStarProduct,
-        "_derivative_bidiff",
+        "_add_bidiff",
         lambda self, *args: derivative_calls.append(args) or general(self, *args),
     )
 
@@ -365,7 +374,7 @@ def test_fourier_bidiff_with_cross_coupling(rng):
         a = random_trig(T4, rng, max_freq=2, n_terms=3)
         b = random_trig(T4, rng, max_freq=2, n_terms=3)
         for m in range(1, 5):
-            assert product.bidiff(m, a, b) == product._derivative_bidiff(m, a, b)
+            assert product.bidiff(m, a, b) == general_bidiff(product, m, a, b)
         assert not product.bidiff(3, a, b).is_zero()
 
 
@@ -455,23 +464,25 @@ def test_associativity_of_benchmark_shaped_triples(rng):
     assert report.passed and report.verified_order == 4
 
 
+def spy_term_maps(monkeypatch):
+    """Record, for every term map built, its table, operand and order."""
+    built = []
+    term_map = star._Work.term_map
+
+    def spy(self, f, order):
+        if (id(f), order) not in self.maps:
+            built.append((weakref.ref(self), id(f), order))
+        return term_map(self, f, order)
+
+    monkeypatch.setattr(star._Work, "term_map", spy)
+    return built
+
+
 def test_work_table_does_not_outlive_the_call(rng, monkeypatch):
     # a cache that survived a call would make the second of two equal calls
     # build fewer term maps, or leave a table reachable after the call
-    built = []
-    term_map = star._term_map
-    monkeypatch.setattr(
-        star, "_term_map", lambda f, order: built.append(order) or term_map(f, order)
-    )
+    built = spy_term_maps(monkeypatch)
     tables = []
-    bidiff = PureStarProduct.bidiff
-
-    def spy(self, m, a, b):
-        work = star._WORK.get()
-        tables.append((id(work), weakref.ref(work)))
-        return bidiff(self, m, a, b)
-
-    monkeypatch.setattr(PureStarProduct, "bidiff", spy)
     a, b, c = (poly_of_degree(R4, rng, d) for d in (4, 5, 6))
     for call in (
         lambda: S4.multiply(a, b, 4),
@@ -482,10 +493,78 @@ def test_work_table_does_not_outlive_the_call(rng, monkeypatch):
             built.clear()
             call()
             counts.append(len(built))
+            # every kernel call of the multiply, or of the sample, shared one table
+            assert len({id(ref) for ref, _, _ in built}) == 1
+            tables.append(built[0][0])
         assert counts[0] == counts[1] > 0
-    # the five bidiff calls of the first multiply (K = 4) shared one table
-    assert len(tables) > 5 and len({key for key, _ in tables[:5]}) == 1
+    built.clear()
     gc.collect()
-    assert all(ref() is None for _, ref in tables)
+    assert all(ref() is None for ref in tables)
     assert star._WORK.get() is None
     assert vars(S4) == {"poisson": P4}
+
+
+# the term maps that the sample of test_each_term_map_is_built_once built at
+# commit f69fe5c, where each of the four multiply calls of a sample kept a
+# table of its own
+PARENT_TERM_MAPS_PER_SAMPLE = 493
+
+
+def test_each_term_map_is_built_once(rng, monkeypatch):
+    built = spy_term_maps(monkeypatch)
+    a, b, c = (poly_of_degree(R4, rng, d) for d in (4, 5, 6))
+    assert check_associativity(S4, [(a, b, c)], 4).passed
+    keys = [(id_f, order) for _, id_f, order in built]
+    assert len(set(keys)) == len(keys) > 0
+    assert len(keys) < PARENT_TERM_MAPS_PER_SAMPLE
+
+
+def unfused_multiply(product, x, y, K):
+    """x * y as one ``bidiff`` call per (j, l, m), each a table of its own,
+    summed as chart functions."""
+    sx, sy = product._promote(x, K), product._promote(y, K)
+    return FormalSeries(product.space, series_by_orders(product, sx, sy, K, product.bidiff))
+
+
+@pytest.mark.parametrize("case", ["R4-degree-4-6", "T2-trig", "T2-mixed", "cross", "order-1-break"])
+def test_fused_sums_match_unfused_reference(rng, case):
+    # the kernel sums every pair and order of an output coefficient before
+    # it reduces; the reference forms each B_m, each product and each
+    # difference on its own
+    K = 4
+    if case == "R4-degree-4-6":
+        product = S4
+        triple = tuple(poly_of_degree(R4, rng, d) for d in (4, 5, 6))
+    elif case == "T2-trig":  # every part in closed form
+        product = ST2
+        triple = tuple(random_trig(T2, rng, n_terms=2) for _ in "abc")
+    elif case == "T2-mixed":  # b * c in closed form, a * b by the general path
+        product = ST2
+        mixed = ChartFunction.variable(T2, "y") * ChartFunction.fourier(T2, {"x": 1})
+        triple = (mixed + random_mixed(T2, rng), random_trig(T2, rng), random_trig(T2, rng))
+    elif case == "cross":  # the Pi^02 = 1/2 + pi entry
+        product, K = cross_coupled(R4), 3
+        triple = tuple(poly_of_degree(R4, rng, d) for d in (3, 4, 3))
+    else:
+        product, K = BrokenFirstOrder(P2), 3
+        triple = tuple(random_poly(R2, rng) for _ in "abc")
+    a, b, c = triple
+
+    def same(got, want):
+        assert got.K == want.K == K
+        for k in range(K + 1):
+            assert got.coefficient(k) == want.coefficient(k)
+
+    ab, bc = unfused_multiply(product, a, b, K), unfused_multiply(product, b, c, K)
+    defect = unfused_multiply(product, ab, c, K) - unfused_multiply(product, a, bc, K)
+    same(star._associator(product, triple, K), defect)
+    assert defect.is_zero() != (case == "order-1-break")
+    same(
+        product.commutator(a, b, K),
+        unfused_multiply(product, a, b, K) - unfused_multiply(product, b, a, K),
+    )
+    # pairs whose products do not cancel, one of them a series
+    same(
+        product._star_sum([(ab, c, 1), (b, c, -1)], K),
+        unfused_multiply(product, ab, c, K) - unfused_multiply(product, b, c, K),
+    )
