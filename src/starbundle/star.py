@@ -15,29 +15,29 @@ Its order k adds every B_m(x_j, y_l) with j + l + m = k, from every pair.
 ``multiply`` is the kernel on one pair and ``commutator`` on (a, b, +1) and
 (b, a, -1).  ``check_associativity`` forms a*b and b*c and takes the defect
 (a*b)*c - a*(b*c) as one kernel call on (a*b, c, +1) and (a, b*c, -1), so
-the two outer products are never formed.  ``bidiff`` is the one-pair,
-one-order case.
+the two outer products are never formed.  Each part B_m(x_j, y_l) of an
+order is a ``bidiff`` call, except where an order has two or more general
+parts (below): those are summed together.
 
 On Fourier modes e_k = exp(2*pi*i*k.u) every derivative is a multiplication
 by 2*pi*i*k_i, so the operator has the closed form
 
     B_m(e_k, e_l) = (-4*pi^2 * k.Pi.l)^m / m! * e_{k+l}.
 
-The kernel takes a pair of pure Fourier sums in that form
-(``_fourier_bidiff``; ``a * b`` at m = 0), and sums those parts as chart
-functions.  Any monomial factor sends the pair through the general path,
-which works on terms rather than on derivative functions.  A term
+``bidiff`` takes a pair of pure Fourier sums in that form
+(``_fourier_bidiff``; ``a * b`` at m = 0), and the kernel sums those parts
+as chart functions.  Any monomial factor sends the pair through the general
+path, which works on terms rather than on derivative functions.  A term
 x^a * e_k of f has d^g (x^a * e_k) = sum_b w * (i*pi)^s * x^(a-b) * e_k with
 integer weights w (falling factorials times (2k)^s by Leibniz,
 s = |g - b|), so each operand's d^g is a *term map*: source term -> output
-term, w, s.  The map of g is
-derived from the map of g less one derivative, one axis at a time, so a term
-that dies at some order costs nothing above it.  B_m then sums, per output
-term, coeff * w_a * w_b * (i*pi)^(s_a+s_b) * a_t b_u over the multisets of m
-Pi entries, with every a_t b_u formed once as integer numerators.  All the
-general parts of one output order, from every pair and every m (B_0
-included), are added over one common denominator, and each output
-coefficient is reduced once.  Both paths give the same exact result.
+term, w, s.  The map of g is derived from the map of g less one derivative,
+one axis at a time, so a term that dies at some order costs nothing above
+it.  B_m then sums, per output term, coeff * w_a * w_b * (i*pi)^(s_a+s_b) *
+a_t b_u over the multisets of m Pi entries, with every a_t b_u formed once
+as integer numerators.  When an output order has several general parts,
+from every pair and every m (B_0 included), they are added over one common
+denominator, and each output coefficient is reduced once.  Both paths give the same exact result.
 
 Each ``multiply``, ``commutator``, ``bidiff`` or associativity sample keeps
 one work table (``_Work``), which the calls nested in it share: the term
@@ -83,12 +83,6 @@ def _derive_map(parent: list, i: int) -> list:
     k != 0, 2k * (i*pi) times the same term; entries of one source term that
     land on one output term are merged, so their weights add up to the
     Leibniz coefficients."""
-    if not any(freq[i] for _, (_, freq), _, _ in parent):  # nothing to merge
-        return [
-            (t, (_bump(mon, i, -1), freq), w * mon[i], s)
-            for t, (mon, freq), w, s in parent
-            if mon[i]
-        ]
     out: dict = {}  # (t, key) -> (w, s)
     for t, (mon, freq), w, s in parent:
         e, k = mon[i], freq[i]
@@ -356,9 +350,9 @@ class PureStarProduct:
         inputs, truncated at K and at every operand's order.
 
         Order k adds sign * B_m(x_j, y_l) for every j + l + m = k with x_j
-        and y_l nonzero: two pure Fourier sums as ``x_j * y_l`` at m = 0 and
-        by ``_fourier_bidiff`` above, and all the other parts of the order
-        in one ``_general_sum``."""
+        and y_l nonzero, each part by ``bidiff``; but when two or more parts
+        of the order are not pure Fourier pairs, those parts go into one
+        ``_general_sum``, which reduces each output coefficient once."""
         if K is not None:
             _check_order(K, "truncation order K")
         pairs = [(self._promote(x, K), self._promote(y, K), sign) for x, y, sign in pairs]
@@ -375,21 +369,24 @@ class PureStarProduct:
         coeffs = []
         with _shared_work(self) as work:
             for k in range(kmax + 1):
-                fourier, general = [], []
+                parts = []  # (m, x, y, sign, are both pure Fourier sums)
                 for xs, ys, sign in sides:
                     for j, x, x_trig in xs:
                         for l, y, y_trig in ys:
                             m = k - j - l
                             if m < 0:
                                 break
-                            if x_trig and y_trig:
-                                f = x * y if m == 0 else self._fourier_bidiff(work, m, x, y)
-                                fourier.append(f if sign > 0 else -f)
-                            else:
-                                general.append((m, x, y, sign))
-                if general:
-                    fourier.append(self._general_sum(work, general))
-                coeffs.append(_sum(self.space, fourier))
+                            parts.append((m, x, y, sign, x_trig and y_trig))
+                general = [(m, x, y, sign) for m, x, y, sign, trig in parts if not trig]
+                fused = len(general) > 1
+                terms = []
+                for m, x, y, sign, trig in parts:
+                    if trig or not fused:
+                        f = self.bidiff(m, x, y)
+                        terms.append(f if sign > 0 else -f)
+                if fused:
+                    terms.append(self._general_sum(work, general))
+                coeffs.append(_sum(self.space, terms))
         return FormalSeries(self.space, coeffs)
 
     def multiply(self, a: StarInput, b: StarInput, K: int | None = None) -> FormalSeries:
@@ -434,9 +431,13 @@ def check_associativity(
 ) -> AssociativityReport:
     """Expand (a*b)*c - a*(b*c) exactly for every sampled triple.
 
-    Violations are report content, not exceptions.  K must be an int >= 0
-    and ``samples`` must not be empty.
+    Violations are report content, not exceptions.  ``product`` must be a
+    ``PureStarProduct``, K an int >= 0 and ``samples`` not empty.
     """
+    if not isinstance(product, PureStarProduct):
+        raise TypeError(
+            f"check_associativity needs a PureStarProduct, not {type(product).__name__}"
+        )
     _check_order(K, "truncation order K")
     if not samples:
         raise ValueError("check_associativity needs at least one sample triple")

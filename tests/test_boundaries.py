@@ -21,6 +21,7 @@ from starbundle.gluing import (
     chern_class,
     glue_multiplicative_connection,
 )
+from starbundle.gauge import GaugeOperator, gauge_twist
 from starbundle.index import EllipticSymbolClass
 from starbundle.manifold import Torus
 from starbundle.poisson import PoissonStructure
@@ -266,6 +267,14 @@ CASES = [
         lambda: check_associativity(S2, [(U, U, U)], True),
         TypeError,
         "truncation order K must be an int, not bool",
+    ),
+    (
+        "associativity-twisted-product",
+        lambda: check_associativity(
+            gauge_twist(S2, GaugeOperator.laplacian_twist(R2, 2)), [(U, U, U)], 2
+        ),
+        TypeError,
+        "check_associativity needs a PureStarProduct, not TwistedProduct",
     ),
     (
         "bidiff-bool-order",

@@ -568,3 +568,9 @@ def test_fused_sums_match_unfused_reference(rng, case):
         product._star_sum([(ab, c, 1), (b, c, -1)], K),
         unfused_multiply(product, ab, c, K) - unfused_multiply(product, b, c, K),
     )
+    # a subtracted pair whose orders hold one part each, so it is a bidiff
+    # call unless the other pair also has a general part
+    same(
+        product._star_sum([(b, c, 1), (a, b, -1)], K),
+        unfused_multiply(product, b, c, K) - unfused_multiply(product, a, b, K),
+    )
