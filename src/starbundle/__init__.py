@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .scalar import CScalar, Scalar, parse_scalar
 from .chartfn import ChartFunction, ChartSpace
-from .manifold import EuclideanChart, ProductChart, Sphere2, Torus
+from .manifold import EuclideanChart, Sphere2, Torus
 from .forms import DifferentialForm
 from .report import CheckReport
 
@@ -16,7 +16,6 @@ __all__ = [
     "ChartFunction",
     "ChartSpace",
     "EuclideanChart",
-    "ProductChart",
     "Sphere2",
     "Torus",
     "DifferentialForm",

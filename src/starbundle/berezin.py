@@ -158,13 +158,6 @@ class CP1Function:
             at_one = at_one + coeff * _cs(Fraction(1, 2**c))
         return hash((at_zero, at_one))
 
-    def evaluate(self, z: complex) -> complex:
-        u = abs(z) ** 2
-        total = 0j
-        for (p, q, c), coeff in self.terms.items():
-            total += complex(coeff) * (z**p) * (np.conj(z) ** q) / (1 + u) ** c
-        return total
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -278,9 +271,6 @@ class BerezinMatrix:
     @property
     def size(self) -> int:
         return self.k + 1
-
-    def entry(self, out_idx: int, in_idx: int) -> CScalar:
-        return self.entries.get((out_idx, in_idx), CScalar.zero())
 
     def to_numpy_monomial(self) -> np.ndarray:
         out = np.zeros((self.size, self.size), dtype=complex)

@@ -10,9 +10,10 @@ and evaluate no point.  The unit on the diagonal is the constant 1 in every
 chart; its gluing over (x, x) is e^{i(phi(x) - phi(x))} = 1 for every phi,
 so it is not checked.
 
-``build`` relies on ``data.verify()`` for the cocycle law: verify already
-proves every nerve triple sum equal to its stored constant, so build runs
-neither check.  They serve data wrapped directly by ``LocalLineBundle(data)``.
+``build_local_line_bundle`` relies on ``data.verify()`` for the cocycle
+law: verify already proves every nerve triple sum equal to its stored
+constant, so the build runs neither check.  They serve data wrapped
+directly by ``LocalLineBundle(data)``.
 
 Fiber elements are represented in polar form r * e^{i*gamma} with rational
 magnitude and Scalar phase, so unitarity and phase cancellations are exact.
@@ -114,17 +115,6 @@ class LocalLineBundle:
         self.cover = data.cover
         self.torus = data.torus
 
-    # -- construction -------------------------------------------------------
-
-    @staticmethod
-    def build(data: CechConnectionData) -> "LocalLineBundle":
-        report = data.verify()
-        if not report.passed:
-            raise BundleError(
-                f"descent data violates its invariants: {report.failures[0]}"
-            )
-        return LocalLineBundle(data)
-
     # -- phase evaluation ----------------------------------------------------
 
     def _phase_at(self, i: int, j: int, anchor: int, point: Sequence[Fraction]) -> Scalar:
@@ -225,4 +215,7 @@ class LocalLineBundle:
 
 
 def build_local_line_bundle(data: CechConnectionData) -> LocalLineBundle:
-    return LocalLineBundle.build(data)
+    report = data.verify()
+    if not report.passed:
+        raise BundleError(f"descent data violates its invariants: {report.failures[0]}")
+    return LocalLineBundle(data)

@@ -39,17 +39,16 @@ class CechConnectionData:
     """Per-chart 1-forms, overlap transitions, triple constants for omega.
 
     Immutable: the three maps are read-only views of private copies, so the
-    report of ``verify`` is computed once and kept.  Two private tables
-    hold what ``verify``, the bundle checks and the glue all read: the
-    triple sums (``triple_sum``) and the differentials d phi_ij
-    (``differential``).  Each entry is built on first use from this
+    report of ``verify`` is computed once and kept.  One private table
+    holds what ``verify`` and the bundle checks both read: the triple sums
+    (``triple_sum``).  Each entry is built on first use from this
     instance's own transitions and kept; nothing here can change, so no
-    entry goes stale, and the tables die with the instance.
+    entry goes stale, and the table dies with the instance.
     """
 
     __slots__ = (
         "cover", "omega", "alphas", "transitions", "triple_constants",
-        "_report", "_sums", "_dphis", "__weakref__",
+        "_report", "_sums", "__weakref__",
     )
 
     def __init__(
@@ -67,7 +66,6 @@ class CechConnectionData:
         object.__setattr__(self, "triple_constants", MappingProxyType(dict(triple_constants)))
         object.__setattr__(self, "_report", None)
         object.__setattr__(self, "_sums", {})
-        object.__setattr__(self, "_dphis", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CechConnectionData is immutable")
@@ -102,29 +100,24 @@ class CechConnectionData:
             total = self._sums[(i, j, k)] = _triple_sum(self.cover, self.transitions, i, j, k)
         return total
 
-    def differential(self, i: int, j: int) -> DifferentialForm:
-        """d(phi_ij) in chart i's frame."""
-        dphi = self._dphis.get((i, j))
-        if dphi is None:
-            dphi = DifferentialForm.from_function(self.torus, self.transition(i, j)).exterior_d()
-            self._dphis[(i, j)] = dphi
-        return dphi
-
     # -- verification -----------------------------------------------------
 
     def overlap_failures(self, forms: Mapping[int, DifferentialForm]) -> list[tuple[int, int]]:
         """The overlaps (i, j) where forms[i] - forms[j] != d(phi_ij), with
         forms[j] moved into chart i's frame; compared coefficient by
-        coefficient, a covector index missing from a form reading 0; an
-        overlap of a chart with no form fails."""
+        coefficient, the dx_a coefficient of d(phi_ij) being the partial
+        derivative of phi_ij in coordinate a, and a covector index missing
+        from a form reading 0; an overlap of a chart with no form fails."""
+        names = self.torus.names
         zero = ChartFunction.zero(self.torus.space)
         terms = {i: form.terms for i, form in forms.items()}
         failures = []
-        for i, j in self.transitions:
+        for (i, j), phi in self.transitions.items():
             if i not in terms or j not in terms:
                 failures.append((i, j))
                 continue
-            here, there, dphi = terms[i], terms[j], self.differential(i, j).terms
+            here, there = terms[i], terms[j]
+            dphi = {(a,): phi.derive(name) for a, name in enumerate(names)}
             delta = self.cover.frame_shift(i, j)
             if any(
                 here.get(idx, zero) != there.get(idx, zero).shift(delta) + dphi.get(idx, zero)

@@ -228,34 +228,6 @@ class DifferentialForm:
 
     # -- transport between charts ---------------------------------------------
 
-    def embed(
-        self,
-        target: Manifold,
-        var_map: Mapping[str, str],
-    ) -> "DifferentialForm":
-        """Pull the form through a coordinate renaming into a larger chart.
-
-        ``var_map`` sends source coordinates to target coordinates; covectors
-        follow their coordinates.  A key that is not a source coordinate, or
-        a target that is not a coordinate of ``target``, raises KeyError.
-        """
-        source = self.manifold.space
-        for name in var_map:
-            source.index(name)
-        cov_index = {}
-        for i, n in enumerate(source.names):
-            cov_index[i] = target.space.index(var_map.get(n, n))
-        out: dict[tuple[int, ...], ChartFunction] = {}
-        for idx, coeff in self._terms.items():
-            new_idx, sign = _sort_with_sign(tuple(cov_index[i] for i in idx))
-            if sign == 0:
-                continue
-            c = coeff.embed(target.space, var_map)
-            add = c if sign == 1 else -c
-            acc = out.get(new_idx)
-            out[new_idx] = add if acc is None else acc + add
-        return DifferentialForm(target, out)
-
     def shift(self, delta: Mapping[str, Fraction]) -> "DifferentialForm":
         """Translate coefficients: returns the form with coefficients f(u + delta).
 

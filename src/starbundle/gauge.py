@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .chartfn import ChartFunction, ChartSpace
-from .poisson import poisson_bracket
 from .scalar import Scalar
 from .series import FormalSeries
 from .star import PureStarProduct, StarInput
@@ -134,29 +133,20 @@ class TwistedProduct:
     def space(self):
         return self.base.space
 
+    def _conjugated(self, base_op, a: StarInput, b: StarInput, K: int | None) -> FormalSeries:
+        """T^{-1}(base_op(T(a), T(b), K)); plain functions are promoted at K,
+        or at the gauge's K when K is None."""
+        order = K if K is not None else self.gauge.K
+        sa, sb = (self.gauge.apply(self.base._promote(x, order)) for x in (a, b))
+        return self.gauge.apply_inverse(base_op(sa, sb, K))
+
     def multiply(self, a: StarInput, b: StarInput, K: int | None = None) -> FormalSeries:
-        sa = self.base._promote(a, K if K is not None else self.gauge.K)
-        sb = self.base._promote(b, K if K is not None else self.gauge.K)
-        product = self.base.multiply(self.gauge.apply(sa), self.gauge.apply(sb), K)
-        return self.gauge.apply_inverse(product)
+        return self._conjugated(self.base.multiply, a, b, K)
 
     def commutator(self, a: StarInput, b: StarInput, K: int | None = None) -> FormalSeries:
-        return self.multiply(a, b, K) - self.multiply(b, a, K)
-
-    def first_order_antisymmetrization(
-        self, f: ChartFunction, g: ChartFunction
-    ) -> ChartFunction:
-        """antisym(B'_1)(f, g) = (B'_1(f,g) - B'_1(g,f))/2, extracted exactly."""
-        from fractions import Fraction
-
-        fg = self.multiply(f, g, 1).coefficient(1)
-        gf = self.multiply(g, f, 1).coefficient(1)
-        return (fg - gf).scale(Fraction(1, 2))
-
-    def check_poisson_compatible(self, f: ChartFunction, g: ChartFunction) -> bool:
-        return self.first_order_antisymmetrization(f, g) == poisson_bracket(
-            f, g, self.base.poisson
-        )
+        """a *' b - b *' a = T^{-1}(T(a) * T(b) - T(b) * T(a)) through one
+        base ``commutator`` call."""
+        return self._conjugated(self.base.commutator, a, b, K)
 
 
 def gauge_twist(product: PureStarProduct, gauge: GaugeOperator) -> TwistedProduct:

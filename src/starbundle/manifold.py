@@ -105,30 +105,4 @@ class EuclideanChart:
         return False
 
 
-@dataclass(frozen=True)
-class ProductChart:
-    """Generic domain over an explicit ChartSpace (lifted pair/triple charts).
-
-    Covectors correspond to the coordinates; there is no global integration.
-    """
-
-    chart_space: ChartSpace
-
-    @property
-    def dim(self) -> int:
-        return self.chart_space.dim
-
-    @property
-    def space(self) -> ChartSpace:
-        return self.chart_space
-
-    @property
-    def covectors(self) -> tuple[str, ...]:
-        return tuple(f"d{n}" for n in self.chart_space.names)
-
-    @property
-    def is_compact(self) -> bool:
-        return False
-
-
-Manifold = Torus | Sphere2 | EuclideanChart | ProductChart
+Manifold = Torus | Sphere2 | EuclideanChart

@@ -46,11 +46,6 @@ class FormalSeries:
         return FormalSeries(f.space, [f] + [zero] * _check_order(K, "truncation order K"))
 
     @staticmethod
-    def zero(space: ChartSpace, K: int) -> "FormalSeries":
-        z = ChartFunction.zero(space)
-        return FormalSeries(space, [z] * (_check_order(K, "truncation order K") + 1))
-
-    @staticmethod
     def unit(space: ChartSpace, K: int) -> "FormalSeries":
         return FormalSeries.constant(ChartFunction.one(space), K)
 

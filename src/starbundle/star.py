@@ -55,7 +55,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from math import lcm
 from operator import add
-from typing import Sequence
+from typing import Iterable
 
 from .chartfn import ChartFunction, _chartfn
 from .poisson import PoissonStructure
@@ -426,19 +426,20 @@ def _associator(product: PureStarProduct, triple: tuple, K: int) -> FormalSeries
 
 def check_associativity(
     product: PureStarProduct,
-    samples: Sequence[tuple[ChartFunction, ChartFunction, ChartFunction]],
+    samples: Iterable[tuple[ChartFunction, ChartFunction, ChartFunction]],
     K: int,
 ) -> AssociativityReport:
     """Expand (a*b)*c - a*(b*c) exactly for every sampled triple.
 
     Violations are report content, not exceptions.  ``product`` must be a
-    ``PureStarProduct``, K an int >= 0 and ``samples`` not empty.
+    ``PureStarProduct``, K an int >= 0 and ``samples`` a non-empty iterable.
     """
     if not isinstance(product, PureStarProduct):
         raise TypeError(
             f"check_associativity needs a PureStarProduct, not {type(product).__name__}"
         )
     _check_order(K, "truncation order K")
+    samples = tuple(samples)
     if not samples:
         raise ValueError("check_associativity needs at least one sample triple")
     violations = []

@@ -22,8 +22,8 @@ from starbundle.gluing import (
     glue_multiplicative_connection,
 )
 from starbundle.gauge import GaugeOperator, gauge_twist
-from starbundle.index import EllipticSymbolClass
-from starbundle.manifold import Torus
+from starbundle.index import EllipticSymbolClass, check_tensor_consistency
+from starbundle.manifold import Sphere2, Torus
 from starbundle.poisson import PoissonStructure
 from starbundle.scalar import Scalar
 from starbundle.series import FormalSeries
@@ -177,25 +177,25 @@ CASES = [
     ),
     (
         "build-missing-primitive",
-        lambda: LocalLineBundle.build(drop_primitive(3)),
+        lambda: build_local_line_bundle(drop_primitive(3)),
         BundleError,
         "violates its invariants: {'identity': 'primitive', 'chart': 3, 'missing': True}",
     ),
     (
         "build-missing-transition",
-        lambda: LocalLineBundle.build(edit_datum(transitions=[(0, 1), (1, 0)])),
+        lambda: build_local_line_bundle(edit_datum(transitions=[(0, 1), (1, 0)])),
         BundleError,
         "violates its invariants: {'identity': 'transition', 'pair': (0, 1), 'missing': True}",
     ),
     (
         "build-missing-triple-constant",
-        lambda: LocalLineBundle.build(edit_datum(constants=lambda c: c.pop((0, 1, 3)))),
+        lambda: build_local_line_bundle(edit_datum(constants=lambda c: c.pop((0, 1, 3)))),
         BundleError,
         "violates its invariants: {'identity': 'triple', 'triple': (0, 1, 3), 'missing': True}",
     ),
     (
         "build-extra-triple-constant",
-        lambda: LocalLineBundle.build(
+        lambda: build_local_line_bundle(
             edit_datum(constants=lambda c: c.update({(0, 0, 0): Scalar.zero()}))
         ),
         BundleError,
@@ -263,6 +263,12 @@ CASES = [
         "needs at least one sample",
     ),
     (
+        "associativity-empty-generator",
+        lambda: check_associativity(S2, (t for t in ()), 2),
+        ValueError,
+        "needs at least one sample triple",
+    ),
+    (
         "associativity-bool-K",
         lambda: check_associativity(S2, [(U, U, U)], True),
         TypeError,
@@ -304,6 +310,17 @@ CASES = [
         "bidiff operands must be ChartFunctions, not FormalSeries",
     ),
     (
+        "tensor-consistency-foreign-manifold",
+        lambda: check_tensor_consistency(
+            EllipticSymbolClass.identity(Sphere2()),
+            build_local_line_bundle(
+                solve_cech(constant_two_form(T2, Scalar.pi(1, 2)), GoodCover.grid(T2, 3))
+            ),
+        ),
+        ValueError,
+        "symbol class lives on a different manifold than the bundle",
+    ),
+    (
         "series-constant-negative-K",
         lambda: FormalSeries.constant(U, -1),
         ValueError,
@@ -317,3 +334,8 @@ def test_malformed_call_raises_named_error(call, exc, fragment):
     with pytest.raises(exc) as info:
         call()
     assert fragment in str(info.value)
+
+
+def test_associativity_takes_a_generator_of_samples():
+    report = check_associativity(S2, (t for t in [(U, U, U)]), 2)
+    assert report.passed and report.samples == 1

@@ -87,7 +87,7 @@ CHAIN_ROWS = {
 def test_symbolic_triple_law_matches_sampled_chain(row):
     make, broken = CHAIN_ROWS[row]
     # a datum whose triple sums stay constant is valid and builds
-    bundle = LocalLineBundle(make()) if broken else LocalLineBundle.build(make())
+    bundle = LocalLineBundle(make()) if broken else build_local_line_bundle(make())
     report = bundle.check_triple_associativity()
     failing = {v["triple"] for v in report.violations}
     for triple in bundle.cover.triples:
@@ -177,7 +177,7 @@ def test_tampered_transition_detected():
 
     bad = CechConnectionData(cover, data.omega, data.alphas, tampered, data.triple_constants)
     with pytest.raises(BundleError):
-        LocalLineBundle.build(bad)
+        build_local_line_bundle(bad)
     # bypassing validation, the point checks still catch it
     bundle = LocalLineBundle(bad)
     assert not bundle.check_gluing_cocycle().passed

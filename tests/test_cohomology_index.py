@@ -1,8 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from starbundle.cech import constant_two_form
+from starbundle import index
+from starbundle.bundle import build_local_line_bundle
+from starbundle.cech import constant_two_form, solve_cech
 from starbundle.chartfn import ChartFunction
 from starbundle.cohomology import (
     CohomologyClass,
@@ -12,13 +15,12 @@ from starbundle.cohomology import (
     todd_of_line,
     todd_series_coefficients,
 )
+from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
 from starbundle.index import (
     EllipticSymbolClass,
     check_homotopy_invariance,
-    check_log_multiplicativity,
     check_tensor_consistency,
-    compose_symbols,
     twisted_index,
 )
 from starbundle.manifold import Sphere2, Torus
@@ -132,32 +134,6 @@ def test_twisted_index_sphere():
     assert result.value == Scalar.rational(7)
 
 
-def test_log_multiplicativity():
-    # identity class composes trivially
-    ident = EllipticSymbolClass.identity(T2)
-    a = EllipticSymbolClass.on_torus2(T2, 2, 3)
-    report = check_log_multiplicativity(ident, a, None, T2)
-    assert report.passed
-    # winding classes: integer indices add at omega = 0
-    w1 = EllipticSymbolClass.on_torus2(T2, 0, 4)
-    w2 = EllipticSymbolClass.on_torus2(T2, 0, -1)
-    assert check_log_multiplicativity(w1, w2, None, T2).passed
-    lhs = twisted_index(compose_symbols(w1, w2), None, T2)
-    assert lhs.value == Scalar.rational(3)
-    # real indices add for nonzero twists
-    omega = constant_two_form(T2, Fraction(3, 7))
-    a1 = EllipticSymbolClass.on_torus2(T2, 2, 5)
-    a2 = EllipticSymbolClass.on_torus2(T2, -1, 1)
-    assert check_log_multiplicativity(a1, a2, omega, T2).passed
-
-
-def test_compose_rank_chain_guard():
-    a = EllipticSymbolClass(1, 1, CohomologyClass.zero(T2))
-    b = EllipticSymbolClass(2, 2, CohomologyClass.zero(T2))
-    with pytest.raises(ValueError):
-        compose_symbols(a, b)
-
-
 def test_homotopy_invariance():
     a = EllipticSymbolClass.on_torus2(T2, 2, 5)
     omega = constant_two_form(T2, Fraction(3, 7))
@@ -182,13 +158,68 @@ def test_homotopy_invariance_rejects_bad_witness():
         check_homotopy_invariance(a, omega, T2, bad, target="omega")
 
 
+def glued_bundle(theta):
+    return build_local_line_bundle(solve_cech(constant_two_form(T2, theta), GoodCover.grid(T2, 3)))
+
+
 def test_tensor_consistency():
-    for m, (d, e) in [(0, (1, 0)), (1, (1, 0)), (3, (2, 5))]:
-        a = EllipticSymbolClass.on_torus2(T2, d, e)
-        report = check_tensor_consistency(a, m, T2)
-        assert report.passed
-    with pytest.raises(ValueError):
-        check_tensor_consistency(EllipticSymbolClass.on_torus2(T2, 1, 0), Fraction(1, 2), T2)
+    # gamma = 2 + 5 vol: twisted and honest sides both read 5 + 2 c1
+    a = EllipticSymbolClass.on_torus2(T2, 2, 5)
+    for theta, c1, both in [(Scalar.pi(1, 2), "1", "7"), (Scalar.pi(1, -4), "-2", "1")]:
+        report = check_tensor_consistency(a, glued_bundle(theta))
+        assert report.passed and report.checked == 2
+        assert dict(report.metrics) == {"c1": c1, "twisted": both, "honest": both}
+    # a class that is not integral has no honest bundle, though both sides agree
+    cases = [
+        (Scalar.rational(Fraction(3, 7)), "3/14*pi^-1"),
+        (Scalar.pi(1, Fraction(1, 3)), "1/6"),
+    ]
+    for theta, c1 in cases:
+        report = check_tensor_consistency(a, glued_bundle(theta))
+        assert report.failures == ({"identity": "integral_c1", "c1": c1},)
+        assert report.metrics["twisted"] == report.metrics["honest"]
+
+
+def test_tensor_consistency_catches_a_wrong_twist(monkeypatch):
+    # exp(omega / pi) in place of exp(omega / 2*pi): the twisted side reads
+    # 5 + 2 * 2 = 9 against the honest 7 at c1 = 1
+    real = index.exp_twist
+    monkeypatch.setattr(index, "exp_twist", lambda omega: real(omega.scale(2)))
+    a = EllipticSymbolClass.on_torus2(T2, 2, 5)
+    report = check_tensor_consistency(a, glued_bundle(Scalar.pi(1, 2)))
+    assert report.failures == (
+        {"identity": "twisted_equals_honest", "c1": "1", "twisted": "9", "honest": "7"},
+    )
+
+
+def test_tensor_consistency_honest_side_uses_no_twist_formula(monkeypatch):
+    calls = []
+    inside = []
+    real_twisted = index.twisted_index
+
+    def staged_twisted(*args):
+        inside.append(True)
+        try:
+            return real_twisted(*args)
+        finally:
+            inside.pop()
+
+    def counted(name, real):
+        def call(*args):
+            calls.append((name, bool(inside)))
+            return real(*args)
+
+        return call
+
+    modules = [m for n, m in sys.modules.items() if n.startswith("starbundle")]
+    for name in ("exp_twist", "todd_class"):
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(index, "twisted_index", staged_twisted)
+    bundle = glued_bundle(Scalar.pi(1, 2))
+    assert check_tensor_consistency(EllipticSymbolClass.on_torus2(T2, 2, 5), bundle).passed
+    assert sorted(calls) == [("exp_twist", True), ("todd_class", True)]
 
 
 def test_index_linearity_in_gamma():

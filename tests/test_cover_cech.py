@@ -227,11 +227,13 @@ def test_cech_data_is_immutable():
 
 
 def form_level_overlap_failures(data, forms):
-    """Reference: the overlap identity decided on whole forms."""
+    """Reference: the overlap identity decided on whole forms, d phi_ij
+    taken through ``exterior_d``."""
     return [
         (i, j)
         for i, j in data.transitions
-        if forms[i] - forms[j].shift(data.cover.frame_shift(i, j)) != data.differential(i, j)
+        if forms[i] - forms[j].shift(data.cover.frame_shift(i, j))
+        != DifferentialForm.from_function(T2, data.transition(i, j)).exterior_d()
     ]
 
 

@@ -1,6 +1,6 @@
-"""The triple sums and differentials of a Cech datum are built once each,
-equal a fresh computation, and die with the datum; the triple law reads
-the sums and evaluates no point."""
+"""The triple sums of a Cech datum are built once each, equal a fresh
+computation, and die with the datum; the overlap law builds no form from a
+transition; the triple law reads the sums and evaluates no point."""
 
 import gc
 import weakref
@@ -47,9 +47,6 @@ def test_tables_equal_fresh_computation(theta):
     data = pipeline_op(theta)
     for triple in data.cover.triples:
         assert data.triple_sum(*triple) == cech._triple_sum(data.cover, data.transitions, *triple)
-    for (i, j), phi in data.transitions.items():
-        assert data.differential(i, j) == DifferentialForm.from_function(T2, phi).exterior_d()
-    assert data.differential(0, 0).is_zero()
 
 
 def test_one_op_builds_each_quantity_once(monkeypatch):
@@ -71,8 +68,9 @@ def test_one_op_builds_each_quantity_once(monkeypatch):
     monkeypatch.setattr(DifferentialForm, "from_function", staticmethod(counted_from_function))
     data = pipeline_op(Scalar.pi(1, Fraction(2, 5)))
     assert sums == Counter({triple: 1 for triple in data.cover.triples})
+    # the overlap law reads partial derivatives of each phi_ij, not a form
     for key, phi in data.transitions.items():
-        assert sum(f is phi for f in arguments) == 1, key
+        assert not any(f is phi for f in arguments), key
 
 
 def test_triple_law_evaluates_no_point(monkeypatch):
@@ -123,10 +121,8 @@ def test_glue_shifts_only_the_moved_connections(monkeypatch, moved):
 def test_tables_die_with_the_datum():
     data = pipeline_op(Scalar.pi(1, Fraction(5, 3)))
     assert len(data._sums) == len(data.cover.triples)
-    assert len(data._dphis) == len(data.transitions)
-    # only the datum holds its tables: nothing at module level keeps them
+    # only the datum holds its table: nothing at module level keeps it
     assert gc.get_referrers(data._sums) == [data]
-    assert gc.get_referrers(data._dphis) == [data]
     ref = weakref.ref(data)
     del data
     gc.collect()

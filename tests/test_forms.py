@@ -115,29 +115,8 @@ def test_sphere_restricted_algebra():
         DifferentialForm(S2, {(0,): ChartFunction.one(S2.space)})
 
 
-def test_embed_rejects_unknown_coordinates():
-    # ChartFunction.embed's contract: KeyError for a stray key or target name,
-    # also on the zero form, whose terms never reach ChartFunction.embed
-    from starbundle.manifold import ProductChart
-
-    pair = ProductChart(T2.space.copies(2))
-    for w in (DifferentialForm.zero(T2), DifferentialForm(T2, {(1,): fn(T2, "x")})):
-        with pytest.raises(KeyError):
-            w.embed(pair, {"x": "x_1", "y": "y_1", "q": "z"})
-        with pytest.raises(KeyError):
-            w.embed(pair, {"x": "x_1", "y": "z"})
-    assert DifferentialForm.zero(T2).embed(pair, {"x": "x_1", "y": "y_1"}).is_zero()
-
-
-def test_embed_and_shift():
-    pair_names = tuple(f"{n}_{j}" for j in (1, 2) for n in ("x", "y"))
-    from starbundle.manifold import ProductChart
-    from starbundle.chartfn import ChartSpace
-
-    pair = ProductChart(ChartSpace.torus(pair_names))
+def test_shift_translates_coefficients():
     w = DifferentialForm(T2, {(1,): fn(T2, "x")})
-    left = w.embed(pair, {"x": "x_1", "y": "y_1"})
-    assert left.terms and list(left.terms) == [(1,)]
     shifted = w.shift({"x": Fraction(2)})
     assert shifted == DifferentialForm(
         T2, {(1,): fn(T2, "x") + ChartFunction.constant(T2.space, 2)}

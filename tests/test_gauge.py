@@ -56,7 +56,7 @@ def test_laplacian_twist_properties(rng):
 
 
 def test_twisted_first_order_antisymmetrization(rng):
-    # antisym(B'_1) equals the Poisson bracket for any unit-preserving gauge
+    # the order-1 commutator is 2 {a, b} for any unit-preserving gauge
     ops = {
         1: ConstCoeffOperator.laplacian(R2),
         2: ConstCoeffOperator.from_dict(R2, {(1, 1): Fraction(2, 3)}),
@@ -64,21 +64,31 @@ def test_twisted_first_order_antisymmetrization(rng):
     T = GaugeOperator.from_dict(R2, 4, ops)
     assert T.preserves_unit()
     twisted = gauge_twist(S2, T)
-    assert twisted.first_order_antisymmetrization(X, Y) == ChartFunction.one(R2)
+    assert twisted.commutator(X, Y, 1).coefficient(1) == ChartFunction.constant(R2, 2)
     for _ in range(5):
         a, b = random_poly(R2, rng), random_poly(R2, rng)
-        assert twisted.first_order_antisymmetrization(a, b) == poisson_bracket(a, b, P2)
-    assert twisted.check_poisson_compatible(X * X, Y)
+        assert twisted.commutator(a, b, 1).coefficient(1) == poisson_bracket(a, b, P2).scale(2)
+    assert twisted.commutator(X * X, Y, 1).coefficient(1) == poisson_bracket(X * X, Y, P2).scale(2)
 
 
 def test_non_unit_preserving_gauge_still_poisson_compatible():
-    # a gauge with a constant term and first-order part: antisym(B'_1) is
-    # unchanged because the correction is symmetric in (a, b)
+    # a gauge with a constant term and first-order part: the order-1
+    # commutator is unchanged because the correction is symmetric in (a, b)
     ops = {1: ConstCoeffOperator.from_dict(R2, {(0, 0): 1, (2, 0): 1})}
     T = GaugeOperator.from_dict(R2, 3, ops)
     assert not T.preserves_unit()
     twisted = gauge_twist(S2, T)
-    assert twisted.first_order_antisymmetrization(X, Y) == ChartFunction.one(R2)
+    assert twisted.commutator(X, Y, 1).coefficient(1) == ChartFunction.constant(R2, 2)
+
+
+def test_twisted_commutator_matches_difference_of_products(rng):
+    # one base commutator call gives a *' b - b *' a, for both gauges above
+    ops = {1: ConstCoeffOperator.from_dict(R2, {(0, 0): 1, (2, 0): 1})}
+    for T in (GaugeOperator.laplacian_twist(R2, 4), GaugeOperator.from_dict(R2, 4, ops)):
+        twisted = gauge_twist(S2, T)
+        a, b = random_poly(R2, rng, max_deg=4), random_poly(R2, rng, max_deg=4)
+        assert twisted.commutator(a, b) == twisted.multiply(a, b) - twisted.multiply(b, a)
+        assert twisted.commutator(a, b, 2) == twisted.multiply(a, b, 2) - twisted.multiply(b, a, 2)
 
 
 def test_order_zero_gauge_rejected():

@@ -28,7 +28,6 @@ from starbundle.gluing import (
 from starbundle.index import (
     EllipticSymbolClass,
     check_homotopy_invariance,
-    check_log_multiplicativity,
     check_tensor_consistency,
 )
 from starbundle.manifold import Torus
@@ -120,17 +119,17 @@ CASES = {
     ),
     "consistency": (lambda: connection().consistency_report(), True),
     "consistency-dy": (lambda: connection(broken=True).consistency_report(), False),
-    "log-mult": (
-        lambda: check_log_multiplicativity(A, EllipticSymbolClass.on_torus2(T2, -1, 1), OMEGA, T2),
-        True,
-    ),
     "homotopy": (
         lambda: check_homotopy_invariance(
             A, OMEGA, T2, DifferentialForm(T2, {(1,): ChartFunction.sine(T2.space, "x")})
         ),
         True,
     ),
-    "tensor": (lambda: check_tensor_consistency(A, 3, T2), True),
+    "tensor": (
+        lambda: check_tensor_consistency(A, build_local_line_bundle(solved(Scalar.pi(1, 2)))),
+        True,
+    ),
+    "tensor-3/7": (lambda: check_tensor_consistency(A, build_local_line_bundle(solved())), False),
 }
 
 
@@ -150,10 +149,11 @@ def test_every_check_reports_one_shape(case):
     json.dumps(dict(report.metrics))
 
 
-# The index checks compare two distinct computations of one theorem, so no
-# input is meant to fail them.  Every other check takes Cech, bundle or
-# connection data, and a check no row fails may hold for all inputs.
-INDEX_CHECKS = {"log_multiplicativity", "homotopy_invariance", "tensor_consistency"}
+# Homotopy invariance perturbs a representative by an exact form, which no
+# correct index pairing can see, so no input is meant to fail it.  Every
+# other check, tensor consistency included, has an input that fails it, and
+# a check no row fails may hold for all inputs.
+INDEX_CHECKS = {"homotopy_invariance"}
 
 
 def test_every_data_check_has_a_failing_row():
