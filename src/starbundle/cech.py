@@ -6,49 +6,99 @@ universal-cover potential theta * x dy with a fixed multiplier convention, so
 the triple-overlap constants come out as theta times signed integer lattice
 areas: they all lie in 2*pi*Z exactly when theta does, which is the honest
 line-bundle criterion.
+
+Construction from integers.  With n = pair_lift(i, j) and a the x-coordinates
+of the chart centres, dx = a_j + n_x - a_i and c = -(a_j + n_x) n_y, the two
+transitions of a nerve pair are the affine functions
+
+    phi_ij = theta (dx y + c),
+    phi_ji = theta (-dx y - (dx n_y + c)) = theta (-dx y + a_i n_y),
+
+the second being (-phi_ij).shift(frame_shift(j, i)).  ``solve_cech`` writes
+every coefficient as theta times one rational number, read in integer units
+of the centres' common denominator, with no function arithmetic, and reads
+each triple constant off the constant term of its triple sum.  It trusts
+none of this: it runs the full ``verify`` on what it built.
+
+Pair-once rule.  Every frame shift is an integer lattice vector and
+frame_shift(j, i) = -frame_shift(i, j), since ``GoodCover`` builds both from
+one pair lift; so shifting by it is an exact ring automorphism that commutes
+with d, undone by the opposite shift.  ``verify`` decides antisymmetry,
+phi_ji = -phi_ij.shift(frame_shift(j, i)), once per unordered nerve pair.
+Where it holds, the overlap law in one direction is the law in the other
+direction shifted and negated (proof: f_j - f_i.shift(d_ji) = d phi_ji
+= -(d phi_ij).shift(d_ji) iff f_j.shift(d_ij) = f_i - d phi_ij), so the
+overlap law is decided once and holds or fails in both directions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from .chartfn import ChartFunction
+from .chartfn import ChartFunction, _chartfn, _lincomb
 from .cover import GoodCover
 from .forms import DifferentialForm
 from .manifold import Torus
 from .report import CheckReport
-from .scalar import Scalar
+from .scalar import CScalar, Scalar, _new, _reduce
 
 
 class CechError(ValueError):
     """Raised when descent data violates one of its defining identities."""
 
 
+def _require(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+
+
 def _triple_sum(cover: GoodCover, transitions: Mapping, i: int, j: int, k: int) -> ChartFunction:
-    """phi_ij + phi_jk + phi_ki in the frame anchored at chart i."""
-    total = ChartFunction.zero(cover.torus.space)
+    """phi_ij + phi_jk + phi_ki in the frame anchored at chart i, summed in
+    one dict with one reduction per output key."""
+    parts: dict = {}
     for a, b in ((i, j), (j, k), (k, i)):
         if a != b:
-            total = total + transitions[(a, b)].shift(cover.frame_shift(i, a))
-    return total
+            phi = transitions[(a, b)]
+            if a != i:
+                phi = phi.shift(cover.frame_shift(i, a))
+            for key, c in phi._terms.items():
+                parts.setdefault(key, []).append((c._den, c._num, 1, 0))
+    return _chartfn(cover.torus.space, {key: _lincomb(p) for key, p in parts.items()})
+
+
+def _vanishes(*signed: tuple[int, ChartFunction]) -> bool:
+    """The sum of sign * f over ``signed`` is identically 0, decided per
+    term key as one signed ``_lincomb``, with no negated copy and no
+    intermediate function."""
+    parts: dict = {}
+    for sign, f in signed:
+        for key, c in f._terms.items():
+            parts.setdefault(key, []).append((c._den, c._num, sign, 0))
+    return all(_lincomb(p).is_zero() for p in parts.values())
+
+
+def _pair(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i <= j else (j, i)
 
 
 class CechConnectionData:
     """Per-chart 1-forms, overlap transitions, triple constants for omega.
 
     Immutable: the three maps are read-only views of private copies, so the
-    report of ``verify`` is computed once and kept.  One private table
-    holds what ``verify`` and the bundle checks both read: the triple sums
-    (``triple_sum``).  Each entry is built on first use from this
-    instance's own transitions and kept; nothing here can change, so no
-    entry goes stale, and the table dies with the instance.
+    report of ``verify`` is computed once and kept.  Two private tables
+    hold what ``verify``, the glue and the bundle checks read: the triple
+    sums (``triple_sum``) and, per unordered pair, whether antisymmetry
+    holds.  Each is built on first use from this instance's own transitions
+    and kept; nothing here can change, so no entry goes stale, and the
+    tables die with the instance.
     """
 
     __slots__ = (
         "cover", "omega", "alphas", "transitions", "triple_constants",
-        "_report", "_sums", "__weakref__",
+        "_report", "_sums", "_antisymmetric", "__weakref__",
     )
 
     def __init__(
@@ -59,6 +109,15 @@ class CechConnectionData:
         transitions: Mapping[tuple[int, int], ChartFunction],
         triple_constants: Mapping[tuple[int, int, int], Scalar],
     ):
+        _require(cover, GoodCover, "cover")
+        _require(omega, DifferentialForm, "omega")
+        for what, table, kind in (
+            ("primitive", alphas, DifferentialForm),
+            ("transition", transitions, ChartFunction),
+            ("triple constant", triple_constants, Scalar),
+        ):
+            for key, value in table.items():
+                _require(value, kind, f"{what} {key}")
         object.__setattr__(self, "cover", cover)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "alphas", MappingProxyType(dict(alphas)))
@@ -66,6 +125,7 @@ class CechConnectionData:
         object.__setattr__(self, "triple_constants", MappingProxyType(dict(triple_constants)))
         object.__setattr__(self, "_report", None)
         object.__setattr__(self, "_sums", {})
+        object.__setattr__(self, "_antisymmetric", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CechConnectionData is immutable")
@@ -91,7 +151,11 @@ class CechConnectionData:
         """phi_ij expressed in chart i's frame (identically 0 when i == j)."""
         if i == j:
             return ChartFunction.zero(self.torus.space)
-        return self.transitions[(i, j)]
+        phi = self.transitions.get((i, j))
+        if phi is None:
+            self.cover.frame_shift(i, j)  # KeyError: charts i and j do not overlap
+            raise KeyError(f"no transition for the overlapping charts {i} and {j}")
+        return phi
 
     def triple_sum(self, i: int, j: int, k: int) -> ChartFunction:
         """phi_ij + phi_jk + phi_ki in the frame anchored at chart i."""
@@ -102,27 +166,59 @@ class CechConnectionData:
 
     # -- verification -----------------------------------------------------
 
+    def _antisymmetric_pairs(self) -> dict[tuple[int, int], bool]:
+        """Whether phi_ji = -phi_ij.shift(frame_shift(j, i)), keyed by the
+        sorted pair: decided once per pair as phi_ji + phi_ij.shift(...) = 0,
+        which holds in one direction exactly when it holds in the other
+        (see the module docstring); a pair with one direction missing
+        fails.  Computed on the first call only."""
+        if self._antisymmetric is None:
+            table = {}
+            for (i, j), phi in self.transitions.items():
+                if _pair(i, j) not in table:
+                    reverse = self.transitions.get((j, i))
+                    table[_pair(i, j)] = reverse is not None and _vanishes(
+                        (1, reverse), (1, phi.shift(self.cover.frame_shift(j, i)))
+                    )
+            object.__setattr__(self, "_antisymmetric", table)
+        return self._antisymmetric
+
     def overlap_failures(self, forms: Mapping[int, DifferentialForm]) -> list[tuple[int, int]]:
         """The overlaps (i, j) where forms[i] - forms[j] != d(phi_ij), with
-        forms[j] moved into chart i's frame; compared coefficient by
-        coefficient, the dx_a coefficient of d(phi_ij) being the partial
-        derivative of phi_ij in coordinate a, and a covector index missing
-        from a form reading 0; an overlap of a chart with no form fails."""
+        forms[j] moved into chart i's frame, in the order of
+        ``transitions``; compared coefficient by coefficient, the dx_a
+        coefficient of d(phi_ij) being the partial derivative of phi_ij in
+        coordinate a, and a covector index missing from a form reading 0;
+        an overlap of a chart with no form fails.  Pair-once rule: on a
+        pair where antisymmetry holds, overlap (j, i) holds exactly when
+        (i, j) does (module docstring), so the law is decided for the first
+        direction met and its verdict reported for both; elsewhere each
+        direction is decided on its own."""
         names = self.torus.names
         zero = ChartFunction.zero(self.torus.space)
         terms = {i: form.terms for i, form in forms.items()}
+        antisymmetric = self._antisymmetric_pairs()
+        decided: dict[tuple[int, int], bool] = {}
         failures = []
         for (i, j), phi in self.transitions.items():
             if i not in terms or j not in terms:
                 failures.append((i, j))
                 continue
-            here, there = terms[i], terms[j]
-            dphi = {(a,): phi.derive(name) for a, name in enumerate(names)}
-            delta = self.cover.frame_shift(i, j)
-            if any(
-                here.get(idx, zero) != there.get(idx, zero).shift(delta) + dphi.get(idx, zero)
-                for idx in here.keys() | there.keys() | dphi.keys()
-            ):
+            pair = _pair(i, j)
+            fails = decided.get(pair) if antisymmetric[pair] else None
+            if fails is None:
+                here, there = terms[i], terms[j]
+                dphi = {(a,): phi.derive(name) for a, name in enumerate(names)}
+                delta = self.cover.frame_shift(i, j)
+                fails = decided[pair] = not all(
+                    _vanishes(
+                        (1, here.get(idx, zero)),
+                        (-1, there[idx].shift(delta) if idx in there else zero),
+                        (-1, dphi.get(idx, zero)),
+                    )
+                    for idx in here.keys() | there.keys() | dphi.keys()
+                )
+            if fails:
                 failures.append((i, j))
         return failures
 
@@ -133,6 +229,10 @@ class CechConnectionData:
         return self._report
 
     def _check(self) -> CheckReport:
+        """Every identity of every chart, pair and triple; antisymmetry and
+        the overlap law are decided once per unordered pair where the
+        pair-once rule of the module docstring allows, and each verdict is
+        reported for both directions, in the order of ``transitions``."""
         charts = range(len(self.cover.charts))
         failures = [
             {"identity": "primitive", "chart": i, "missing": True}
@@ -153,38 +253,46 @@ class CechConnectionData:
         failures += (
             {"identity": "overlap", "pair": pair} for pair in self.overlap_failures(self.alphas)
         )
-        for (i, j), phi in self.transitions.items():
-            reverse = self.transitions.get((j, i))
-            if reverse is None or reverse != (-phi).shift(self.cover.frame_shift(j, i)):
-                failures.append(
-                    {"identity": "antisymmetry", "pair": (i, j), "missing": reverse is None}
-                )
+        antisymmetric = self._antisymmetric_pairs()
+        failures += (
+            {"identity": "antisymmetry", "pair": (i, j), "missing": (j, i) not in self.transitions}
+            for i, j in self.transitions
+            if not antisymmetric[_pair(i, j)]
+        )
         nerve = self.cover.triples
         failures += (
             {"identity": "triple", "triple": t, "extra": True}
             for t in self.triple_constants
             if t not in nerve
         )
-        space = self.torus.space
         for i, j, k in nerve:
             const = self.triple_constants.get((i, j, k))
             if const is None:
                 failures.append({"identity": "triple", "triple": (i, j, k), "missing": True})
             elif {(i, j), (j, k), (k, i)} <= self.transitions.keys():  # else reported missing
                 total = self.triple_sum(i, j, k)
-                if total != ChartFunction.constant(space, const):
+                if not (total.is_constant() and total.constant_value() == const):
                     found = {"sum": str(total), "stored": str(const)}
                     failures.append({"identity": "triple", "triple": (i, j, k), **found})
         checked = len(charts) + len(nerve_pairs) + 2 * len(self.transitions) + len(nerve)
         return CheckReport("cech_descent", checked, failures)
 
 
+def _times(theta: Scalar, num: int, den: int) -> CScalar:
+    """theta * num/den, canonical, for integers num and den > 0."""
+    return _reduce(CScalar, theta._den * den, {m: (a * num, 0) for m, (a, _) in theta._num.items()})
+
+
 def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:
     """Solve the descent equations for omega = theta dx^dy on Torus(2).
 
     Produces alpha_i with d(alpha_i) = omega, transitions with
-    alpha_i - alpha_j = d(phi_ij), and constant triple sums, all exact.
+    alpha_i - alpha_j = d(phi_ij), and constant triple sums, all exact,
+    written straight from the integer pair lifts and the chart centres
+    (module docstring) and then checked by the full ``verify``.
     """
+    _require(omega, DifferentialForm, "omega")
+    _require(cover, GoodCover, "cover")
     torus = cover.torus
     if not isinstance(omega.manifold, Torus) or omega.manifold.n != 2:
         raise CechError("the supported family lives on Torus(2)")
@@ -205,32 +313,33 @@ def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:
     theta = value.re
 
     space = torus.space
-    xname, yname = torus.names
-    x = ChartFunction.variable(space, xname)
+    origin, x_key, y_key = ((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 1), (0, 0))
+    # chart centres' x-coordinates as integers a over one denominator den
+    den = lcm(*(r.center[0].denominator for r in cover.charts))
+    a = [r.center[0].numerator * (den // r.center[0].denominator) for r in cover.charts]
 
-    alphas = {}
-    for i, rect in enumerate(cover.charts):
-        a_x = rect.center[0]
-        coeff_i = (x - ChartFunction.constant(space, a_x)).scale(theta)
-        alphas[i] = DifferentialForm(torus, {(1,): coeff_i})
-
-    y = ChartFunction.variable(space, yname)
+    slope = CScalar.coerce(theta)
+    alphas = {
+        i: DifferentialForm(
+            torus, {(1,): _chartfn(space, {x_key: slope, origin: _times(theta, -a_i, den)})}
+        )
+        for i, a_i in enumerate(a)
+    }
     transitions: dict[tuple[int, int], ChartFunction] = {}
     for i, j in cover.pairs:
-        n = cover.pair_lift(i, j)
-        a_i, a_j = cover.charts[i].center, cover.charts[j].center
-        delta_x = a_j[0] + n[0] - a_i[0]
-        const = -(a_j[0] + n[0]) * Fraction(n[1])
-        phi = (y.scale(delta_x) + ChartFunction.constant(space, const)).scale(theta)
-        transitions[(i, j)] = phi
-        transitions[(j, i)] = (-phi).shift(cover.frame_shift(j, i))
+        n_x, n_y = cover.pair_lift(i, j)
+        lifted = a[j] + n_x * den  # a_j + n_x
+        dx = _times(theta, lifted - a[i], den)
+        c_ij, c_ji = _times(theta, -lifted * n_y, den), _times(theta, a[i] * n_y, den)
+        transitions[(i, j)] = _chartfn(space, {y_key: dx, origin: c_ij})
+        transitions[(j, i)] = _chartfn(space, {y_key: -dx, origin: c_ji})
 
     sums = {triple: _triple_sum(cover, transitions, *triple) for triple in cover.triples}
+    zero = Scalar.zero()
     consts: dict[tuple[int, int, int], Scalar] = {}
     for triple, total in sums.items():
-        if not total.is_constant():
-            raise AssertionError(f"triple sum {triple} is not constant: {total}")
-        consts[triple] = total.constant_value().re
+        c = total._terms.get(origin)  # theta is real, so c is too
+        consts[triple] = zero if c is None else _new(Scalar, c._den, c._num)
 
     data = CechConnectionData(cover, omega, alphas, transitions, consts)
     data._sums.update(sums)  # built from the same transitions the datum holds

@@ -241,7 +241,8 @@ class ChartFunction:
         if not self.is_constant():
             raise ValueError(f"not a constant function: {self}")
         zero = (0,) * self.space.dim
-        return self._terms.get((zero, zero), CScalar.zero())
+        c = self._terms.get((zero, zero))
+        return CScalar.zero() if c is None else c
 
     def is_real(self) -> bool:
         """Conjugate symmetry: coeff(mon, -k) == conj(coeff(mon, k))."""

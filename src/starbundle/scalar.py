@@ -156,7 +156,7 @@ class Scalar(_Exact):
 
     @staticmethod
     def zero() -> "Scalar":
-        return Scalar()
+        return _new(Scalar, 1, {})
 
     @staticmethod
     def one() -> "Scalar":
@@ -303,7 +303,7 @@ class CScalar(_Exact):
 
     @staticmethod
     def zero() -> "CScalar":
-        return CScalar()
+        return _new(CScalar, 1, {})
 
     @staticmethod
     def one() -> "CScalar":

@@ -321,6 +321,38 @@ CASES = [
         "symbol class lives on a different manifold than the bundle",
     ),
     (
+        "solve-cech-str-omega",
+        lambda: solve_cech("omega", GoodCover.grid(T2, 3)),
+        TypeError,
+        "omega must be a DifferentialForm, not str",
+    ),
+    (
+        "solve-cech-str-cover",
+        lambda: solve_cech(constant_two_form(T2, 1), "cover"),
+        TypeError,
+        "cover must be a GoodCover, not str",
+    ),
+    (
+        "cech-transition-off-nerve",
+        lambda: edit_datum().transition(0, 99),
+        KeyError,
+        "charts 0 and 99 do not overlap",
+    ),
+    (
+        "cech-transition-missing",
+        lambda: edit_datum(transitions=[(0, 1)]).transition(0, 1),
+        KeyError,
+        "no transition for the overlapping charts 0 and 1",
+    ),
+    (
+        "cech-int-primitive",
+        lambda: CechConnectionData(
+            GoodCover.grid(T2, 3), constant_two_form(T2, 1), {0: 5}, {}, {}
+        ).verify(),
+        TypeError,
+        "primitive 0 must be a DifferentialForm, not int",
+    ),
+    (
         "series-constant-negative-K",
         lambda: FormalSeries.constant(U, -1),
         ValueError,

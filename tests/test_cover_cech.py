@@ -49,6 +49,19 @@ def test_frame_shift_is_minus_the_pair_lift():
         cover.frame_shift(*apart)
 
 
+@pytest.mark.parametrize(
+    "torus, n", [(T2, n) for n in range(3, 7)] + [(Torus(3), 3)], ids=["3", "4", "5", "6", "T3-3"]
+)
+def test_frame_shifts_are_opposite_integer_vectors(torus, n):
+    """The invariant the pair-once rule of ``verify`` rests on: shifts by
+    frame_shift(i, j) and frame_shift(j, i) compose exactly to the identity."""
+    cover = GoodCover.grid(torus, n)
+    for i, j in cover.pairs:
+        there, back = cover.frame_shift(i, j), cover.frame_shift(j, i)
+        assert back == {name: -d for name, d in there.items()}
+        assert all(d.denominator == 1 for d in (*there.values(), *back.values()))
+
+
 def reference_nerve(cover):
     """Pair lifts and triple rectangles from plain Fraction geometry: the
     integers s with (lo1, hi1) meeting (lo2 + s, hi2 + s) on every axis,
@@ -224,6 +237,61 @@ def test_cech_data_is_immutable():
         data.alphas[0] = data.alphas[1]
     with pytest.raises(TypeError):
         data.triple_constants[data.cover.triples[0]] = Scalar.zero()
+
+
+def function_algebra_datum(theta, cover):
+    """Reference: the descent datum built through ChartFunction algebra,
+    phi_ji as (-phi_ij) moved by frame_shift(j, i) and each triple
+    constant read off the sum of the three moved transitions."""
+    space = T2.space
+    x, y = (ChartFunction.variable(space, name) for name in T2.names)
+    alphas = {
+        i: DifferentialForm(
+            T2, {(1,): (x - ChartFunction.constant(space, rect.center[0])).scale(theta)}
+        )
+        for i, rect in enumerate(cover.charts)
+    }
+    transitions = {}
+    for i, j in cover.pairs:
+        n = cover.pair_lift(i, j)
+        a_i, a_j = cover.charts[i].center[0], cover.charts[j].center[0]
+        const = ChartFunction.constant(space, -(a_j + n[0]) * n[1])
+        phi = (y.scale(a_j + n[0] - a_i) + const).scale(theta)
+        transitions[(i, j)] = phi
+        transitions[(j, i)] = (-phi).shift(cover.frame_shift(j, i))
+    constants = {}
+    for i, j, k in cover.triples:
+        total = ChartFunction.zero(space)
+        for a, b in ((i, j), (j, k), (k, i)):
+            total = total + transitions[(a, b)].shift(cover.frame_shift(i, a))
+        constants[(i, j, k)] = total.constant_value().re
+    return alphas, transitions, constants
+
+
+@pytest.mark.parametrize(
+    "n, halfwidth", [(3, None), (4, None), (5, None), (6, None), (3, Fraction(9, 40))],
+    ids=["3", "4", "5", "6", "3-9/40"],
+)
+@pytest.mark.parametrize(
+    "theta",
+    [
+        Scalar.pi(1, 2), Scalar.pi(1, -4), Scalar.pi(1, Fraction(1, 3)),
+        Scalar.rational(Fraction(5, 7)), Scalar.zero(), Scalar({-1: 3, 1: 2}),
+    ],
+    ids=["2pi", "-4pi", "pi/3", "5/7", "0", "3/pi+2pi"],
+)
+def test_solve_cech_matches_function_algebra(theta, n, halfwidth):
+    cover = GoodCover.grid(T2, n, halfwidth)
+    data = solve_cech(constant_two_form(T2, theta), cover)
+    alphas, transitions, constants = function_algebra_datum(theta, cover)
+    for built, expected in (
+        (data.alphas, alphas), (data.transitions, transitions), (data.triple_constants, constants)
+    ):
+        assert dict(built) == expected
+        assert list(built) == list(expected)
+        assert all(hash(built[key]) == hash(value) for key, value in expected.items())
+    assert all(type(c) is Scalar for c in data.triple_constants.values())
+    assert CechConnectionData(cover, data.omega, alphas, transitions, constants).verify().passed
 
 
 def form_level_overlap_failures(data, forms):

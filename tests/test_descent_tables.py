@@ -12,7 +12,7 @@ import pytest
 from starbundle import cech
 from starbundle.bundle import LocalLineBundle, build_local_line_bundle
 from starbundle.chartfn import ChartFunction
-from starbundle.cech import constant_two_form, solve_cech
+from starbundle.cech import CechConnectionData, constant_two_form, solve_cech
 from starbundle.cover import GoodCover
 from starbundle.forms import DifferentialForm
 from starbundle.gluing import (
@@ -128,3 +128,131 @@ def test_tables_die_with_the_datum():
     gc.collect()
     assert ref() is None
 
+
+
+def directed_reference_failures(data):
+    """Reference: the witnesses of ``verify`` with every directed overlap
+    and antisymmetry decided on its own, on whole forms, with phi_ji
+    compared against (-phi_ij) moved by frame_shift(j, i)."""
+    cover, transitions, alphas = data.cover, data.transitions, data.alphas
+    charts = range(len(cover.charts))
+    failures = [
+        {"identity": "primitive", "chart": i, "missing": True} for i in charts if i not in alphas
+    ]
+    nerve_pairs = [p for i, j in cover.pairs for p in ((i, j), (j, i))]
+    failures += [
+        {"identity": "transition", "pair": p, "missing": True}
+        for p in nerve_pairs
+        if p not in transitions
+    ]
+    failures += [
+        {"identity": "curl", "chart": i} for i, a in alphas.items() if a.exterior_d() != data.omega
+    ]
+    failures += [
+        {"identity": "overlap", "pair": (i, j)}
+        for (i, j), phi in transitions.items()
+        if i not in alphas or j not in alphas
+        or alphas[i] - alphas[j].shift(cover.frame_shift(i, j))
+        != DifferentialForm.from_function(T2, phi).exterior_d()
+    ]
+    for (i, j), phi in transitions.items():
+        reverse = transitions.get((j, i))
+        if reverse is None or reverse != (-phi).shift(cover.frame_shift(j, i)):
+            missing = reverse is None
+            failures.append({"identity": "antisymmetry", "pair": (i, j), "missing": missing})
+    for i, j, k in cover.triples:
+        if {(i, j), (j, k), (k, i)} <= transitions.keys():
+            total = ChartFunction.zero(T2.space)
+            for a, b in ((i, j), (j, k), (k, i)):
+                total = total + transitions[(a, b)].shift(cover.frame_shift(i, a))
+            const = data.triple_constants[(i, j, k)]
+            if total != ChartFunction.constant(T2.space, const):
+                found = {"sum": str(total), "stored": str(const)}
+                failures.append({"identity": "triple", "triple": (i, j, k), **found})
+    return failures
+
+
+def _edited(alphas=None, transitions=None):
+    """The solved theta = 3/7 datum on the 3-grid with ``alphas`` and
+    ``transitions`` edited in place by the given functions."""
+    data = solve_cech(constant_two_form(T2, Scalar.rational(Fraction(3, 7))), GoodCover.grid(T2, 3))
+    forms, phis = dict(data.alphas), dict(data.transitions)
+    if alphas:
+        alphas(forms)
+    if transitions:
+        transitions(phis, data.cover)
+    return CechConnectionData(data.cover, data.omega, forms, phis, data.triple_constants)
+
+
+Y = ChartFunction.variable(T2.space, "y")
+
+
+def _alpha0_dy(forms):
+    forms[0] = forms[0] + DifferentialForm.basis(T2, "dy")
+
+
+def _phi01_plus_one(phis, cover):
+    phis[(0, 1)] = phis[(0, 1)] + 1
+
+
+def _phi01_plus_y_antisymmetric(phis, cover):
+    phis[(0, 1)] = phis[(0, 1)] + Y
+    phis[(1, 0)] = (-phis[(0, 1)]).shift(cover.frame_shift(1, 0))
+
+
+def _phi01_plus_y(phis, cover):
+    phis[(0, 1)] = phis[(0, 1)] + Y
+
+
+def _drop_phi10(phis, cover):
+    del phis[(1, 0)]
+
+
+PARITY_ROWS = {
+    # overlap fails on every pair through chart 0, in both directions
+    "alpha0+dy": (lambda: _edited(alphas=_alpha0_dy), {"overlap"}),
+    # d(phi_01 + 1) = d(phi_01): only antisymmetry and the triples fail
+    "phi01+1": (lambda: _edited(transitions=_phi01_plus_one), {"antisymmetry", "triple"}),
+    # antisymmetric, so overlap (1, 0) is decided through (0, 1)
+    "phi01+y-antisymmetric": (
+        lambda: _edited(transitions=_phi01_plus_y_antisymmetric), {"overlap", "triple"}
+    ),
+    # not antisymmetric: overlap (1, 0) still holds and is decided on its own
+    "phi01+y": (lambda: _edited(transitions=_phi01_plus_y), {"overlap", "antisymmetry", "triple"}),
+    "phi10-deleted": (lambda: _edited(transitions=_drop_phi10), {"transition", "antisymmetry"}),
+}
+
+
+@pytest.mark.parametrize("row", PARITY_ROWS)
+def test_verify_witnesses_match_directed_reference(row):
+    make, identities = PARITY_ROWS[row]
+    data = make()
+    failures = [dict(w) for w in data.verify().failures]
+    assert failures == directed_reference_failures(data)
+    assert {w["identity"] for w in failures} == identities
+    overlaps = [w["pair"] for w in failures if w["identity"] == "overlap"]
+    if row == "phi01+y-antisymmetric":
+        assert overlaps == [(0, 1), (1, 0)]
+    if row == "phi01+y":
+        assert overlaps == [(0, 1)]
+
+
+def test_verify_derives_each_transition_pair_once(monkeypatch):
+    """Pair-once rule: on a solved datum the overlap law takes the two
+    partial derivatives of one transition per nerve pair (72, where
+    deciding each direction takes 144); the curl of each of the 9
+    primitives takes two more."""
+    solved = solve_cech(constant_two_form(T2, Scalar.pi(1, Fraction(1, 3))), GoodCover.grid(T2, 3))
+    data = CechConnectionData(
+        solved.cover, solved.omega, solved.alphas, solved.transitions, solved.triple_constants
+    )
+    calls = []
+    real_derive = ChartFunction.derive
+
+    def counted_derive(f, name):
+        calls.append(name)
+        return real_derive(f, name)
+
+    monkeypatch.setattr(ChartFunction, "derive", counted_derive)
+    assert data.verify().passed
+    assert len(calls) == 2 * len(data.cover.pairs) + 2 * len(data.cover.charts) == 72 + 18
