@@ -119,11 +119,11 @@ class LocalLineBundle:
 
     def _phase_at(self, i: int, j: int, anchor: int, point: Sequence[Fraction]) -> Scalar:
         """phi_ij evaluated at a point given in the anchor chart's frame."""
-        # phi read in the anchor frame is phi.shift(-lift), and
-        # phi.shift(-lift)(x) = phi(x - lift): move the point, not phi
-        lift = self.cover.pair_lift(anchor, i)
+        # phi read in the anchor frame is phi.shift(d) with d = frame_shift(anchor, i),
+        # and phi.shift(d)(x) = phi(x + d): move the point, not phi
+        shift = self.cover.frame_shift(anchor, i)
         value = self.data.transition(i, j).evaluate(
-            {n: p - s for n, p, s in zip(self.torus.names, point, lift)}
+            {n: p + shift[n] for n, p in zip(self.torus.names, point)}
         )
         if not value.is_real():
             raise AssertionError("transition phase must be real")

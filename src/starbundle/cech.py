@@ -15,10 +15,11 @@ transitions of a nerve pair are the affine functions
     phi_ji = theta (-dx y - (dx n_y + c)) = theta (-dx y + a_i n_y),
 
 the second being (-phi_ij).shift(frame_shift(j, i)).  ``solve_cech`` writes
-every coefficient as theta times one rational number, read in integer units
-of the centres' common denominator, with no function arithmetic, and reads
-each triple constant off the constant term of its triple sum.  It trusts
-none of this: it runs the full ``verify`` on what it built.
+every coefficient as theta times one rational number, with the centres read
+in the cover's integer units of 1/den (``GoodCover.lattice``) and no
+function arithmetic, and reads each triple constant off the constant term
+of its triple sum.  It trusts none of this: it runs the full ``verify`` on
+what it built.
 
 Pair-once rule.  Every frame shift is an integer lattice vector and
 frame_shift(j, i) = -frame_shift(i, j), since ``GoodCover`` builds both from
@@ -34,7 +35,6 @@ overlap law is decided once and holds or fails in both directions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -314,9 +314,9 @@ def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:
 
     space = torus.space
     origin, x_key, y_key = ((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 1), (0, 0))
-    # chart centres' x-coordinates as integers a over one denominator den
-    den = lcm(*(r.center[0].denominator for r in cover.charts))
-    a = [r.center[0].numerator * (den // r.center[0].denominator) for r in cover.charts]
+    # chart centres' x-coordinates as integers a in the cover's units of 1/den
+    den = cover.den
+    a = [(lo + hi) // 2 for (lo, hi), _ in cover.lattice]
 
     slope = CScalar.coerce(theta)
     alphas = {

@@ -153,7 +153,7 @@ class PartitionOfUnity:
         return PartitionOfUnity(cover, axis_windows)
 
     def window(self, chart_index: int) -> ChartFunction:
-        if not isinstance(chart_index, int):
+        if not isinstance(chart_index, int) or isinstance(chart_index, bool):
             raise TypeError(
                 f"chart index {chart_index!r} must be an int, not {type(chart_index).__name__}"
             )

@@ -16,10 +16,8 @@ def _det(m: Matrix) -> Scalar:
     n = len(m)
     total = Scalar.zero()
     for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
         # permutation parity by counting inversions
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j])
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
         sign = -1 if inv % 2 else 1
         prod = Scalar.one()
         for i in range(n):

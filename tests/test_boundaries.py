@@ -13,7 +13,7 @@ from starbundle.bundle import BundleError, LocalLineBundle, build_local_line_bun
 from starbundle.cech import CechConnectionData, constant_two_form, solve_cech
 from starbundle.chartfn import ChartFunction, ChartSpace
 from starbundle.cohomology import CohomologyClass
-from starbundle.cover import GoodCover
+from starbundle.cover import GoodCover, Rect
 from starbundle.forms import DifferentialForm
 from starbundle.gluing import (
     GluingError,
@@ -134,6 +134,12 @@ CASES = [
         "halfwidth must be a Fraction, not float",
     ),
     (
+        "cover-float-rect-grid",
+        lambda: GoodCover(T2, [Rect((a / 3, b / 3), (0.2, 0.2)) for a in range(3) for b in range(3)]),
+        TypeError,
+        "Rect takes int or Fraction bounds, not float",
+    ),
+    (
         "grid-float-size",
         lambda: GoodCover.grid(T2, 1.5),
         TypeError,
@@ -159,6 +165,12 @@ CASES = [
         lambda: PartitionOfUnity.for_grid(GoodCover.grid(T2, 3)).window(1.5),
         TypeError,
         "chart index 1.5 must be an int, not float",
+    ),
+    (
+        "partition-window-bool",
+        lambda: PartitionOfUnity.for_grid(GoodCover.grid(T2, 3)).window(True),
+        TypeError,
+        "chart index True must be an int, not bool",
     ),
     *(
         (

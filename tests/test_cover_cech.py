@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd
@@ -26,21 +28,23 @@ def test_grid_cover_shape():
 
 def test_pair_lift_uniqueness_and_rects():
     cover = GoodCover.grid(T2, 3)
+    lifts, rects, triples = reference_nerve(cover)
     for i, j in cover.pairs:
         lift = cover.pair_lift(i, j)
         assert cover.pair_lift(j, i) == tuple(-s for s in lift)
-        rect = cover.pair_rect(i, j)
-        assert all(w > 0 for w in rect.halfwidth)
-    for i, j, k in cover.triples:
-        rect = cover.triple_rect(i, j, k)
-        assert rect is not None
+        assert cover.pair_rect(i, j) == rects[(i, j)] and cover.pair_rect(j, i) == rects[(j, i)]
+    for i in range(len(cover.charts)):
+        assert cover.pair_lift(i, i) == (0, 0) and cover.pair_rect(i, i) == cover.charts[i]
+    for key, rect in triples.items():
+        assert cover.triple_rect(*key) == rect
 
 
 def test_frame_shift_is_minus_the_pair_lift():
     cover = GoodCover.grid(T2, 4)
     for i, j in cover.pairs + tuple((j, i) for i, j in cover.pairs) + ((5, 5),):
         shift = cover.frame_shift(i, j)
-        assert dict(shift) == {n: Fraction(-s) for n, s in zip(T2.names, cover.pair_lift(i, j))}
+        assert dict(shift) == {n: -s for n, s in zip(T2.names, cover.pair_lift(i, j))}
+        assert all(type(s) is int for s in shift.values())
         assert shift is cover.frame_shift(i, j)
         with pytest.raises(TypeError):
             shift["x"] = Fraction(1)  # shared between calls, so read-only
@@ -59,13 +63,23 @@ def test_frame_shifts_are_opposite_integer_vectors(torus, n):
     for i, j in cover.pairs:
         there, back = cover.frame_shift(i, j), cover.frame_shift(j, i)
         assert back == {name: -d for name, d in there.items()}
-        assert all(d.denominator == 1 for d in (*there.values(), *back.values()))
+        assert all(type(d) is int for d in (*there.values(), *back.values()))
+
+
+def _box_rect(parts_per_axis):
+    """The intersection of the (lo, hi) parts on every axis, as a Rect, or
+    None when it is empty on some axis."""
+    box = [(max(lo for lo, _ in parts), min(hi for _, hi in parts)) for parts in parts_per_axis]
+    if any(lo >= hi for lo, hi in box):
+        return None
+    return Rect(tuple((lo + hi) / 2 for lo, hi in box), tuple((hi - lo) / 2 for lo, hi in box))
 
 
 def reference_nerve(cover):
-    """Pair lifts and triple rectangles from plain Fraction geometry: the
-    integers s with (lo1, hi1) meeting (lo2 + s, hi2 + s) on every axis,
-    and the triple intersections in the first chart's frame."""
+    """Pair lifts, pair rectangles and triple rectangles from plain Fraction
+    geometry: the integers s with (lo1, hi1) meeting (lo2 + s, hi2 + s) on
+    every axis, and the pair and triple intersections in the first chart's
+    frame, for both orders of each pair."""
     charts, dim = cover.charts, cover.torus.dim
     lifts = {}
     for i, j in combinations(range(len(charts)), 2):
@@ -78,20 +92,25 @@ def reference_nerve(cover):
         assert all(len(ns) <= 1 for ns in per_axis)
         if all(per_axis):
             lifts[(i, j)] = tuple(ns[0] for ns in per_axis)
+
+    def moved(m, lift, ax):
+        return tuple(b + lift[ax] for b in charts[m].bounds(ax))
+
+    rects = {}
+    for (i, j), lift in lifts.items():
+        back = tuple(-s for s in lift)
+        rects[(i, j)] = _box_rect([[charts[i].bounds(ax), moved(j, lift, ax)] for ax in range(dim)])
+        rects[(j, i)] = _box_rect([[charts[j].bounds(ax), moved(i, back, ax)] for ax in range(dim)])
     triples = {}
     for i, j, k in combinations(range(len(charts)), 3):
         if not {(i, j), (i, k), (j, k)} <= set(lifts):
             continue
-        box = []
-        for ax in range(dim):
-            parts = [charts[i].bounds(ax)]
-            parts += [tuple(b + lifts[(i, m)][ax] for b in charts[m].bounds(ax)) for m in (j, k)]
-            box.append((max(lo for lo, _ in parts), min(hi for _, hi in parts)))
-        if all(lo < hi for lo, hi in box):
-            triples[(i, j, k)] = Rect(
-                tuple((lo + hi) / 2 for lo, hi in box), tuple((hi - lo) / 2 for lo, hi in box)
-            )
-    return lifts, triples
+        rect = _box_rect(
+            [[charts[i].bounds(ax)] + [moved(m, lifts[(i, m)], ax) for m in (j, k)] for ax in range(dim)]
+        )
+        if rect is not None:
+            triples[(i, j, k)] = rect
+    return lifts, rects, triples
 
 
 def _mixed_cover():
@@ -121,13 +140,17 @@ def _mixed_cover():
 )
 def test_nerve_matches_fraction_reference(make):
     cover = make()
-    lifts, triples = reference_nerve(cover)
+    lifts, rects, triples = reference_nerve(cover)
     assert cover.pairs == tuple(lifts)
     for (i, j), lift in lifts.items():
         assert cover.pair_lift(i, j) == lift
+    for key, rect in rects.items():
+        assert rect is not None and cover.pair_rect(*key) == rect
     assert triples and cover.triples == tuple(triples)
-    for key, rect in triples.items():
-        assert cover.triple_rect(*key) == rect
+    for (i, j, k), rect in triples.items():
+        assert cover.triple_rect(i, j, k) == rect
+        # pair lift uniqueness forces the triple's lifts to agree
+        assert tuple(b - a for a, b in zip(lifts[(i, j)], lifts[(i, k)])) == lifts[(j, k)]
 
 
 def test_disconnected_overlap_rejected():
@@ -144,6 +167,73 @@ def test_disconnected_overlap_rejected():
     ]
     with pytest.raises(ValueError, match="charts 0,1 is disconnected on axis 1"):
         GoodCover(T2, charts)
+
+
+def _on_axis(rect, ax, x):
+    """Whether the open interval of ``rect`` on axis ``ax``, read mod 1,
+    holds x, by Fraction bounds."""
+    return 0 < (x - rect.bounds(ax)[0]) % 1 < 2 * rect.halfwidth[ax]
+
+
+def _holds(charts, point):
+    return any(all(_on_axis(r, ax, x) for ax, x in enumerate(point)) for r in charts)
+
+
+# (id, charts, the point the error names, a point known to lie in no chart)
+NON_COVERS = [
+    (
+        "grid3-without-centre",
+        lambda: [c for i, c in enumerate(GoodCover.grid(T2, 3).charts) if i != 4],
+        "(5/24, 5/24)",
+        (Fraction(1, 3), Fraction(1, 3)),
+    ),
+    (
+        "diagonal",
+        lambda: [Rect((Fraction(k, 3),) * 2, (Fraction(1, 5),) * 2) for k in range(3)],
+        "(2/15, 1/5)",
+        (Fraction(0), Fraction(1, 2)),
+    ),
+    ("empty", lambda: [], "(0, 0)", (Fraction(0), Fraction(0))),
+]
+
+
+@pytest.mark.parametrize(
+    "charts, named, known", [c[1:] for c in NON_COVERS], ids=[c[0] for c in NON_COVERS]
+)
+def test_non_cover_names_an_uncovered_point(charts, named, known):
+    charts = charts()
+    with pytest.raises(ValueError, match=re.escape(f"do not cover the torus: {named} lies in no chart")):
+        GoodCover(T2, charts)
+    for point in (tuple(Fraction(q) for q in named[1:-1].split(", ")), known):
+        assert not _holds(charts, point)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coverage_matches_every_half_lattice_point(seed):
+    """Jittered 3-grids, some with charts dropped: GoodCover accepts exactly
+    when every point k/(2 den) of the torus lies in a chart, and otherwise
+    names such a point.  Every face of the arrangement of chart edges, which
+    sit at multiples of 1/den, holds one of these points."""
+    rng = random.Random(seed)
+    charts = [
+        Rect(
+            tuple(Fraction(c, 3) + Fraction(rng.randint(-1, 1), 48) for c in (a, b)),
+            tuple(Fraction(rng.randint(9, 11), 48) for _ in "xy"),
+        )
+        for a in range(3)
+        for b in range(3)
+        if rng.random() > 0.05
+    ]
+    grid = [Fraction(u, 96) for u in range(96)]  # den = 48 divides every bound
+    xs, ys = ([{i for i, r in enumerate(charts) if _on_axis(r, ax, q)} for q in grid] for ax in (0, 1))
+    gaps = [(grid[u], grid[v]) for u in range(96) for v in range(96) if not xs[u] & ys[v]]
+    if not gaps:
+        GoodCover(T2, charts)
+        return
+    with pytest.raises(ValueError, match="do not cover the torus") as err:
+        GoodCover(T2, charts)
+    named = str(err.value).split("(")[1].split(")")[0]
+    assert tuple(Fraction(q) for q in named.split(", ")) in gaps
 
 
 def test_grid_validation_errors():
