@@ -356,6 +356,12 @@ def chern_class(
     not depend on the partition of unity used for the connection: exact
     parts of the curvature integrate away.
     """
+    if not isinstance(bundle, LocalLineBundle):
+        raise TypeError(f"chern_class needs a LocalLineBundle, not {type(bundle).__name__}")
+    if connection is not None and not isinstance(connection, GluedConnection):
+        raise TypeError(
+            f"chern_class needs a GluedConnection or None, not {type(connection).__name__}"
+        )
     if connection is None:
         partition = PartitionOfUnity.for_grid(bundle.cover)
         connection = glue_multiplicative_connection(bundle, partition)

@@ -24,9 +24,15 @@ by 2*pi*i*k_i, so the operator has the closed form
 
     B_m(e_k, e_l) = (-4*pi^2 * k.Pi.l)^m / m! * e_{k+l}.
 
-``bidiff`` takes a pair of pure Fourier sums in that form
-(``_fourier_bidiff``; ``a * b`` at m = 0), and the kernel sums those parts
-as chart functions.  Any monomial factor sends the pair through the general
+``bidiff`` takes a pair of pure Fourier sums in that form, at every m
+(``_fourier_bidiff``), and the kernel sums those parts as chart functions.
+Every a_k b_l of the pair is formed once, as integer numerators over one
+denominator, and summed by k+l and by the integers that make up k.Pi.l; the
+numerators of w^m = (-4*pi^2 * k.Pi.l)^m are kept over pden^m, pden the lcm
+of the Pi entries' denominators.  B_m adds w^m times each sum into one
+integer dict per output frequency and reduces each output coefficient once,
+over the pair denominator times pden^m * m!; B_0 (w^0 = 1) is a * b from
+the same table.  Any monomial factor sends the pair through the general
 path, which works on terms rather than on derivative functions.  A term
 x^a * e_k of f has d^g (x^a * e_k) = sum_b w * (i*pi)^s * x^(a-b) * e_k with
 integer weights w (falling factorials times (2k)^s by Leibniz,
@@ -42,10 +48,11 @@ denominator, and each output coefficient is reduced once.  Both paths give the s
 Each ``multiply``, ``commutator``, ``bidiff`` or associativity sample keeps
 one work table (``_Work``), which the calls nested in it share: the term
 maps of every operand, the pair products of every (a, b), the multisets of
-Pi entries with their weights for each m, and the Fourier pairs of each
-(a, b) grouped by k+l and k.Pi.l.  So a*b, b*c and the defect of one sample
-build each of these once.  The table is passed in a context variable that
-is reset before the outermost call returns, so nothing outlives it.
+Pi entries with their weights for each m, the Fourier pair table of each
+(a, b) and the powers of w for each k.Pi.l.  So a*b, b*c and the defect
+of one sample build each of these once.  The table is passed in a context
+variable that is reset before the outermost call returns, so nothing
+outlives it.
 """
 
 from __future__ import annotations
@@ -53,18 +60,17 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from math import lcm
+from math import factorial, lcm
 from operator import add
 from typing import Iterable
 
 from .chartfn import ChartFunction, _chartfn
 from .poisson import PoissonStructure
-from .scalar import CScalar, Scalar, _mul, _new, _reduce
+from .scalar import CScalar, _mul, _new, _reduce
 from .series import FormalSeries, _check_order
 
 StarInput = ChartFunction | FormalSeries
 
-_MINUS_FOUR_PI2 = _new(Scalar, 1, {2: (-4, 0)})
 _ONE = _new(CScalar, 1, {0: (1, 0)})
 
 
@@ -75,6 +81,26 @@ def _bump(order: tuple[int, ...], i: int, by: int = 1) -> tuple[int, ...]:
 def _numerators(c: CScalar, scale: int) -> list:
     """c's numerators times ``scale``, as [(pi power, re, im)]."""
     return [(k, x * scale, y * scale) for k, (x, y) in c._num.items()]
+
+
+def _scaled(c: CScalar, scale: int) -> dict:
+    """c's numerators times ``scale``, as {pi power: (re, im)}."""
+    if scale == 1:
+        return c._num
+    return {k: (x * scale, y * scale) for k, (x, y) in c._num.items()}
+
+
+def _mul_into(acc: dict, x: dict, y: dict) -> None:
+    """Add x * y to ``acc``, all {pi power: (re, im)} of integer numerators."""
+    for k1, (a, b) in x.items():
+        for k2, (c, d) in y.items():
+            k = k1 + k2
+            if b:  # a real a needs two products, not four
+                re_, im_ = a * c - b * d, a * d + b * c
+            else:
+                re_, im_ = a * c, a * d
+            p = acc.get(k)
+            acc[k] = (re_, im_) if p is None else (p[0] + re_, p[1] + im_)
 
 
 def _derive_map(parent: list, i: int) -> list:
@@ -117,19 +143,25 @@ class _Work:
 
     The general path reads the term map of each operand and derivative
     order and the pair products a_t b_u of each (a, b), which every order m
-    reuses; the Fourier path reads the pair groups and the powers of w."""
+    reuses.  The Fourier path reads the pair table of each (a, b): every
+    a_k b_l as integer numerators over one denominator, summed by ns and
+    k+l; and, for each ns, the numerators of w^m = (-4*pi^2 * s)^m over
+    pden^m, pden the lcm of the Pi entries' denominators."""
 
     def __init__(self, product: "PureStarProduct"):
         self.product = product
         self.entries = [(i, j, CScalar.coerce(p)) for i, j, p in product.poisson.nonzero_entries()]
+        # Pi is antisymmetric: s = k.Pi.l = sum over these Pi^ij of Pi^ij (k_i l_j - k_j l_i)
+        self.upper = [(i, j, p) for i, j, p in self.entries if i < j]
+        self.pden = lcm(*(p._den for _, _, p in self.upper))
         self.operands: dict = {}  # id(f) -> f
         self.maps: dict = {}  # (id(f), order) -> term map of d^order f
         self.products: dict = {}  # (id(a), id(b)) -> (den, rows)
         zero = (0,) * product.space.dim
         # m -> ([(order on a, order on b, coeff, last entry, its run length)], lcm of coeff dens)
         self.multisets: dict = {0: ([(zero, zero, _ONE, 0, 0)], 1)}
-        self.pairs: dict = {}  # (id(a), id(b)) -> {ns: {k+l: sum of a_k b_l}}
-        self.powers: dict = {}  # ns -> [w^m/m! for m = 0, 1, ...], None for s = 0
+        self.pairs: dict = {}  # (id(a), id(b)) -> (den, {ns: {k+l: numerators}})
+        self.powers: dict = {}  # ns -> [numerators of w^m over pden^m for m = 0, 1, ...]
 
     def term_map(self, f: ChartFunction, order: tuple[int, ...]) -> list:
         """d^order f as [(t, key, w, s)]: term t of f puts w * (i*pi)^s times
@@ -178,33 +210,52 @@ class _Work:
             got = self.multisets[m] = (rows, lcm(*(c._den for _, _, c, _, _ in rows)))
         return got
 
-    def fourier_groups(self, a: ChartFunction, b: ChartFunction) -> dict:
-        """The term pairs of a and b with s = k.Pi.l != 0, summed by ns, the
-        tuple of k_i l_j - k_j l_i over the Pi^ij with i < j, and by k+l."""
+    def fourier_groups(self, a: ChartFunction, b: ChartFunction) -> tuple:
+        """(den, groups): the pair table of two pure Fourier sums.  Every
+        a_k b_l is formed once, as integer numerators {pi power: (re, im)}
+        over den, the lcm of a's coefficient denominators times that of
+        b's, and summed into groups[ns][k+l], ns the tuple of
+        k_i l_j - k_j l_i over the Pi^ij with i < j.  The groups with
+        s = k.Pi.l = 0 are kept, since B_0 reads every pair."""
         got = self.pairs.get((id(a), id(b)))
-        if got is not None:
-            return got
-        self.operands[id(a)], self.operands[id(b)] = a, b
-        # Pi is antisymmetric: s = sum over Pi^ij with i < j of Pi^ij (k_i l_j - k_j l_i)
-        upper = [(i, j, p) for i, j, p in self.entries if i < j]
-        got = self.pairs[(id(a), id(b))] = {}
-        for (_, k), ak in a._terms.items():
-            for (_, q), bq in b._terms.items():
-                ns = tuple([k[i] * q[j] - k[j] * q[i] for i, j, _ in upper])
-                if ns not in self.powers:
-                    s = _new(CScalar, 1, {})
-                    for n, (_, _, p) in zip(ns, upper):
-                        if n:
-                            s = s + p * n
-                    self.powers[ns] = None if s.is_zero() else [_ONE, s * _MINUS_FOUR_PI2]
-                if self.powers[ns] is None:
-                    continue
-                group = got.setdefault(ns, {})
-                f = tuple(map(add, k, q))
-                c = ak * bq
-                acc = group.get(f)
-                group[f] = c if acc is None else acc + c
+        if got is None:
+            self.operands[id(a)], self.operands[id(b)] = a, b
+            da = lcm(*(c._den for c in a._terms.values()))
+            db = lcm(*(c._den for c in b._terms.values()))
+            ys = [(l, _scaled(c, db // c._den)) for (_, l), c in b._terms.items()]
+            groups: dict = {}
+            for (_, k), c in a._terms.items():
+                x = _scaled(c, da // c._den)
+                for l, y in ys:
+                    ns = tuple([k[i] * l[j] - k[j] * l[i] for i, j, _ in self.upper])
+                    group = groups.get(ns)
+                    if group is None:
+                        group = groups[ns] = {}
+                    f = tuple(map(add, k, l))
+                    acc = group.get(f)
+                    if acc is None:
+                        acc = group[f] = {}
+                    _mul_into(acc, x, y)
+            got = self.pairs[(id(a), id(b))] = (da * db, groups)
         return got
+
+    def power(self, ns: tuple, m: int) -> dict:
+        """The numerators of w^m over pden^m, w = -4*pi^2 * s and s the sum
+        of n * Pi^ij over ns; each power is built from the one before as
+        w^(m-1) * w in integers.  {} for m >= 1 when s = 0."""
+        ws = self.powers.get(ns)
+        if ws is None:
+            w: dict = {}
+            for n, (_, _, p) in zip(ns, self.upper):
+                if n:
+                    _mul_into(w, {2: (-4 * n * (self.pden // p._den), 0)}, p._num)
+            w = {k: p for k, p in w.items() if p != (0, 0)}
+            ws = self.powers[ns] = [{0: (1, 0)}, w]
+        while len(ws) <= m:
+            nxt: dict = {}
+            _mul_into(nxt, ws[1], ws[-1])
+            ws.append(nxt)
+        return ws[m]
 
 
 # the table of the star-product call in progress, if any
@@ -254,9 +305,10 @@ class PureStarProduct:
     def bidiff(self, m: int, a: ChartFunction, b: ChartFunction) -> ChartFunction:
         """The order-m bidifferential operator applied to (a, b).
 
-        On two pure Fourier sums B_m is taken in closed form
-        (``_fourier_bidiff``); otherwise by the general path of the kernel
-        (``_general_sum``).  Both give the same exact result.
+        On two pure Fourier sums B_m is taken in closed form from the pair
+        table of (a, b) (``_fourier_bidiff``), B_0 included; otherwise by
+        the general path of the kernel (``_general_sum``).  Both give the
+        same exact result.
         """
         _check_order(m, "bidifferential order")
         for f in (a, b):
@@ -266,7 +318,7 @@ class PureStarProduct:
             raise ValueError("star-product inputs live on the wrong chart")
         with _shared_work(self) as work:
             if a.is_trig() and b.is_trig():
-                return a * b if m == 0 else self._fourier_bidiff(work, m, a, b)
+                return self._fourier_bidiff(work, m, a, b)
             return self._general_sum(work, [(m, a, b, 1)])
 
     def _general_sum(self, work: _Work, parts: list) -> ChartFunction:
@@ -325,25 +377,32 @@ class PureStarProduct:
     def _fourier_bidiff(
         self, work: _Work, m: int, a: ChartFunction, b: ChartFunction
     ) -> ChartFunction:
-        """B_m(a, b) for m >= 1 and pure Fourier sums a, b, in closed form.
+        """B_m(a, b) for pure Fourier sums a, b, in closed form.
 
-        The pairs are grouped by k+l and by the integers that make up
-        s = k.Pi.l, and each group's sum of a_k b_l (``_Work.fourier_groups``,
-        shared by every order) is scaled by w^m/m!, w = -4*pi^2*s.  A pair
-        with s = 0 contributes nothing.
+        B_m adds, for each k+l, w^m/m! times the pair table's sum of a_k b_l
+        in each group ns (``_Work.fourier_groups``, shared by every order),
+        w = -4*pi^2*s.  The products w^m * c are added in integers into one
+        dict per output frequency, over den * pden^m * m!, and each output
+        coefficient is reduced once.  At m = 0, w^0 = 1 for every group, so
+        B_0 = a * b comes from the same table; at m >= 1 a group with s = 0
+        contributes nothing.
         """
-        zero = (0,) * self.space.dim
-        out: dict = {}
-        for ns, group in work.fourier_groups(a, b).items():
-            ws = work.powers[ns]
-            while len(ws) <= m:  # w^m/m! from w^(m-1)/(m-1)!
-                ws.append(ws[-1] * ws[1] * _new(CScalar, len(ws), {0: (1, 0)}))
+        den, groups = work.fourier_groups(a, b)
+        out: dict = {}  # k+l -> {pi power: (re, im)}
+        for ns, group in groups.items():
+            w = work.power(ns, m)
+            if not w:
+                continue
             for f, c in group.items():
-                key = (zero, f)
-                term = ws[m] * c
-                acc = out.get(key)
-                out[key] = term if acc is None else acc + term
-        return _chartfn(self.space, out)
+                acc = out.get(f)
+                if acc is None:
+                    acc = out[f] = {}
+                _mul_into(acc, w, c)
+        den *= work.pden**m * factorial(m)
+        zero = (0,) * self.space.dim
+        return _chartfn(
+            self.space, {(zero, f): _reduce(CScalar, den, num) for f, num in out.items()}
+        )
 
     def _star_sum(self, pairs: list, K: int | None) -> FormalSeries:
         """The sum of sign * (x * y) over ``pairs`` (x, y, sign) of star
@@ -392,7 +451,7 @@ class PureStarProduct:
     def multiply(self, a: StarInput, b: StarInput, K: int | None = None) -> FormalSeries:
         """a * b with c_k = sum_{j+l+m=k} B_m(a_j, b_l) (``_star_sum`` on one
         pair).  The table of the call computes each coefficient's term maps,
-        the pair products and Fourier pair groups of each (a_j, b_l) and the
+        the pair products and Fourier pair table of each (a_j, b_l) and the
         Pi multisets of each order once for all orders, and is dropped when
         the call returns."""
         return self._star_sum([(a, b, 1)], K)

@@ -78,6 +78,19 @@ def chern_class_foreign_connection():
     return chern_class(bundle(Scalar.pi(1, 2)), foreign)
 
 
+def chern_class_of(argument):
+    """c1 with ``argument`` in the bundle's place ("connection") or in the
+    connection's ("bundle"), on the theta = pi/3 bundle of the 3-grid."""
+    cover = GoodCover.grid(T2, 3)
+    bundle = build_local_line_bundle(
+        solve_cech(constant_two_form(T2, Scalar.pi(1, Fraction(1, 3))), cover)
+    )
+    if argument == "bundle":
+        return chern_class(bundle, bundle)
+    connection = glue_multiplicative_connection(bundle, PartitionOfUnity.for_grid(cover))
+    return chern_class(connection)
+
+
 CASES = [
     (
         "chartfn-shift-unknown-key",
@@ -218,6 +231,18 @@ CASES = [
         chern_class_foreign_connection,
         GluingError,
         "the connection is glued on a different bundle",
+    ),
+    (
+        "chern-class-connection-as-bundle",
+        lambda: chern_class_of("connection"),
+        TypeError,
+        "chern_class needs a LocalLineBundle, not GluedConnection",
+    ),
+    (
+        "chern-class-bundle-as-connection",
+        lambda: chern_class_of("bundle"),
+        TypeError,
+        "chern_class needs a GluedConnection or None, not LocalLineBundle",
     ),
     *(
         (

@@ -373,9 +373,65 @@ def test_fourier_bidiff_with_cross_coupling(rng):
     for _ in range(2):
         a = random_trig(T4, rng, max_freq=2, n_terms=3)
         b = random_trig(T4, rng, max_freq=2, n_terms=3)
-        for m in range(1, 5):
+        for m in range(5):
             assert product.bidiff(m, a, b) == general_bidiff(product, m, a, b)
         assert not product.bidiff(3, a, b).is_zero()
+
+
+def laurent_trig(space, rng, n_terms=3):
+    """n_terms Fourier modes, frequencies -2..2, with complex Laurent-pi
+    coefficients."""
+    total = ChartFunction.zero(space)
+    for _ in range(n_terms):
+        freqs = {n: rng.randint(-2, 2) for n in space.names}
+        total = total + ChartFunction.fourier(space, freqs, random_cscalar(rng))
+    return total
+
+
+@pytest.mark.parametrize("space", [T2, T4], ids=["T2", "T4"])
+def test_fourier_bidiff_matches_general_path_on_laurent_coefficients(rng, space):
+    # Pi^01 = pi^-1 + 1/3: the powers of w carry two pi powers over 3^m, and
+    # the pair table's numerators carry the operands' own pi powers
+    K = 5
+    product = PureStarProduct(
+        PoissonStructure.standard(space, Scalar({-1: 1, 0: Fraction(1, 3)}))
+    )
+    zero = ChartFunction.zero(space)
+    a, b = laurent_trig(space, rng), laurent_trig(space, rng)
+    assert not all(c.is_real() for c in a.terms.values())
+    for x, y in ((a, b), (b, a), (a, a), (zero, b), (a, zero)):
+        assert product.bidiff(0, x, y) == x * y
+        for m in range(K + 1):
+            assert product.bidiff(m, x, y) == general_bidiff(product, m, x, y)
+    assert all(not product.bidiff(m, a, b).is_zero() for m in range(K + 1))
+
+
+def test_trig_multiply_takes_b0_from_the_pair_table(rng, monkeypatch):
+    # B_0 of two pure Fourier sums is read off the pair table that every
+    # order shares, so a trig-by-trig multiply forms no ChartFunction
+    # product; the kernel still calls bidiff once per order
+    K = 6
+    a, b = random_trig(T2, rng), random_trig(T2, rng)
+    want = derivative_series(ST2, ST2._promote(a, K), ST2._promote(b, K), K)
+    products, orders = [], []
+    mul, bidiff = ChartFunction.__mul__, PureStarProduct.bidiff
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    def counting_bidiff(self, m, x, y):
+        orders.append(m)
+        return bidiff(self, m, x, y)
+
+    monkeypatch.setattr(ChartFunction, "__mul__", counting_mul)
+    monkeypatch.setattr(ChartFunction, "__rmul__", counting_mul)
+    monkeypatch.setattr(PureStarProduct, "bidiff", counting_bidiff)
+    got = ST2.multiply(a, b, K)
+    assert products == []
+    assert orders == list(range(K + 1))
+    assert [got.coefficient(m) for m in range(K + 1)] == want
+    assert a * b == want[0] and len(products) == 1
 
 
 def poly_of_degree(space, rng, degree, n_terms=3):
