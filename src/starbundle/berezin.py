@@ -121,10 +121,6 @@ class CP1Function:
     def __sub__(self, other: "CP1Function") -> "CP1Function":
         return self + (-other)
 
-    def scale(self, c) -> "CP1Function":
-        c = c if isinstance(c, CScalar) else _cs(c)
-        return CP1Function({k: c * v for k, v in self.terms.items()})
-
     def conj(self) -> "CP1Function":
         return CP1Function({(q, p, c): v.conj() for (p, q, c), v in self.terms.items()})
 

@@ -62,9 +62,6 @@ class PolarC:
             raise ZeroDivisionError("zero fiber element")
         return PolarC(1 / self.mag, -self.phase)
 
-    def conj(self) -> "PolarC":
-        return PolarC(self.mag, -self.phase)
-
     def __eq__(self, other: object) -> bool:
         """Equality as complex numbers: phases compared mod 2*pi."""
         if not isinstance(other, PolarC):

@@ -54,9 +54,6 @@ class CohomologyClass:
                 return form
         return DifferentialForm.zero(self.manifold)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for form in self.components for d in form.degrees())
-
     def total(self) -> DifferentialForm:
         out = DifferentialForm.zero(self.manifold)
         for form in self.components:
@@ -76,9 +73,6 @@ class CohomologyClass:
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
         return self + (-other)
-
-    def scale(self, c) -> "CohomologyClass":
-        return CohomologyClass(self.manifold, tuple(f.scale(c) for f in self.components))
 
     def cup(self, other: "CohomologyClass") -> "CohomologyClass":
         """Wedge of representatives; degrees beyond the dimension vanish."""

@@ -93,6 +93,9 @@ class DifferentialForm:
     def basis(manifold: Manifold, *covector_names: str) -> "DifferentialForm":
         """Wedge of named covectors with coefficient 1, e.g. basis(M, 'dx', 'dy')."""
         labels = manifold.covectors
+        for n in covector_names:
+            if n not in labels:
+                raise KeyError(f"no covector {n!r} on {manifold}, whose covectors are {labels}")
         idx = tuple(labels.index(n) for n in covector_names)
         return DifferentialForm(
             manifold, {idx: ChartFunction.one(manifold.space)}

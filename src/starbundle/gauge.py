@@ -7,8 +7,8 @@ from typing import Mapping
 
 from .chartfn import ChartFunction, ChartSpace
 from .scalar import Scalar
-from .series import FormalSeries
-from .star import PureStarProduct, StarInput
+from .series import FormalSeries, _check_order
+from .star import PureStarProduct, StarInput, _check_product
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,9 @@ class GaugeOperator:
     K: int
     operators: tuple[tuple[int, ConstCoeffOperator], ...]
 
+    def __post_init__(self):
+        _check_order(self.K, "truncation order K")
+
     @staticmethod
     def from_dict(space: ChartSpace, K: int, ops: Mapping[int, ConstCoeffOperator]) -> "GaugeOperator":
         items = []
@@ -129,10 +132,6 @@ class TwistedProduct:
     base: PureStarProduct
     gauge: GaugeOperator
 
-    @property
-    def space(self):
-        return self.base.space
-
     def _conjugated(self, base_op, a: StarInput, b: StarInput, K: int | None) -> FormalSeries:
         """T^{-1}(base_op(T(a), T(b), K)); plain functions are promoted at K,
         or at the gauge's K when K is None."""
@@ -150,6 +149,9 @@ class TwistedProduct:
 
 
 def gauge_twist(product: PureStarProduct, gauge: GaugeOperator) -> TwistedProduct:
+    _check_product(product, "gauge_twist")
+    if not isinstance(gauge, GaugeOperator):
+        raise TypeError(f"gauge_twist needs a GaugeOperator, not {type(gauge).__name__}")
     if gauge.space != product.space:
         raise ValueError("gauge operator chart does not match the product")
     return TwistedProduct(product, gauge)

@@ -94,6 +94,10 @@ def twisted_index(
     a: EllipticSymbolClass, omega: DifferentialForm | None, manifold: Manifold
 ) -> IndexResult:
     """ind(a) = integral gamma ^ Td ^ exp(omega/2*pi), exactly."""
+    if not isinstance(a, EllipticSymbolClass):
+        raise TypeError(f"twisted_index needs an EllipticSymbolClass, not {type(a).__name__}")
+    if omega is not None and not isinstance(omega, DifferentialForm):
+        raise TypeError(f"omega must be a DifferentialForm or None, not {type(omega).__name__}")
     _check_supported(manifold)
     if a.gamma.manifold != manifold:
         raise ValueError("symbol class lives on a different manifold")
@@ -129,6 +133,8 @@ def check_homotopy_invariance(
     ``beta`` is the demanded primitive witness; its exterior derivative is
     the perturbation.  ``target`` is "omega" or the gamma degree to perturb.
     """
+    if target != "omega" and (not isinstance(target, int) or isinstance(target, bool)):
+        raise ValueError(f'target must be "omega" or an int degree, not {target!r}')
     if beta.manifold != manifold:
         raise ValueError("witness lives on a different manifold")
     perturbation = beta.exterior_d()
@@ -140,9 +146,8 @@ def check_homotopy_invariance(
             raise ValueError("witness must be a 1-form to perturb omega")
         after = twisted_index(a, omega + perturbation, manifold)
     else:
-        degree = int(target)
-        if not perturbation.degrees() or set(perturbation.degrees()) != {degree}:
-            raise ValueError(f"witness derivative is not homogeneous of degree {degree}")
+        if not perturbation.degrees() or set(perturbation.degrees()) != {target}:
+            raise ValueError(f"witness derivative is not homogeneous of degree {target}")
         gamma = CohomologyClass(
             manifold,
             tuple(a.gamma.components) + (perturbation,),

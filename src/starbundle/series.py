@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .chartfn import ChartFunction, ChartSpace, CoeffLike
+from .chartfn import ChartFunction, ChartSpace
 
 
 def _check_order(n, what: str) -> int:
@@ -44,10 +44,6 @@ class FormalSeries:
         """Embed a chart function as an order-0 series truncated at K."""
         zero = ChartFunction.zero(f.space)
         return FormalSeries(f.space, [f] + [zero] * _check_order(K, "truncation order K"))
-
-    @staticmethod
-    def unit(space: ChartSpace, K: int) -> "FormalSeries":
-        return FormalSeries.constant(ChartFunction.one(space), K)
 
     # -- structure ---------------------------------------------------------
 
@@ -87,9 +83,6 @@ class FormalSeries:
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
         return self + (-other)
-
-    def scale(self, c: CoeffLike) -> "FormalSeries":
-        return FormalSeries(self.space, [f.scale(c) for f in self.coeffs])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalSeries):

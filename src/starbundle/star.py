@@ -15,25 +15,27 @@ Its order k adds every B_m(x_j, y_l) with j + l + m = k, from every pair.
 ``multiply`` is the kernel on one pair and ``commutator`` on (a, b, +1) and
 (b, a, -1).  ``check_associativity`` forms a*b and b*c and takes the defect
 (a*b)*c - a*(b*c) as one kernel call on (a*b, c, +1) and (a, b*c, -1), so
-the two outer products are never formed.  Each part B_m(x_j, y_l) of an
-order is a ``bidiff`` call, except where an order has two or more general
-parts (below): those are summed together.
+the two outer products are never formed.  Each order is one per-order sum,
+``_order_sum``: every part sign * B_m(x_j, y_l) of the order, from every
+pair and every m (B_0 included), is added into one dict of integer
+numerators over the lcm of the parts' denominators, and each output
+coefficient is reduced once.  An order with one part of sign +1 is that
+part's ``bidiff``, which is ``_order_sum`` on it.
 
 On Fourier modes e_k = exp(2*pi*i*k.u) every derivative is a multiplication
 by 2*pi*i*k_i, so the operator has the closed form
 
     B_m(e_k, e_l) = (-4*pi^2 * k.Pi.l)^m / m! * e_{k+l}.
 
-``bidiff`` takes a pair of pure Fourier sums in that form, at every m
-(``_fourier_bidiff``), and the kernel sums those parts as chart functions.
-Every a_k b_l of the pair is formed once, as integer numerators over one
-denominator, and summed by k+l and by the integers that make up k.Pi.l; the
-numerators of w^m = (-4*pi^2 * k.Pi.l)^m are kept over pden^m, pden the lcm
-of the Pi entries' denominators.  B_m adds w^m times each sum into one
-integer dict per output frequency and reduces each output coefficient once,
-over the pair denominator times pden^m * m!; B_0 (w^0 = 1) is a * b from
-the same table.  Any monomial factor sends the pair through the general
-path, which works on terms rather than on derivative functions.  A term
+A part on a pair of pure Fourier sums is added in that form
+(``_add_fourier``), at every m.  Every a_k b_l of the pair is formed once,
+as integer numerators over one denominator, and summed by k+l and by the
+integers that make up k.Pi.l; the numerators of w^m = (-4*pi^2 * k.Pi.l)^m
+are kept over pden^m, pden the lcm of the Pi entries' denominators.  B_m
+adds w^m times each sum to its output frequency, over the pair denominator
+times pden^m * m!; B_0 (w^0 = 1) is a * b from the same table.  Any
+monomial factor sends the pair through the general path (``_add_bidiff``),
+which works on terms rather than on derivative functions.  A term
 x^a * e_k of f has d^g (x^a * e_k) = sum_b w * (i*pi)^s * x^(a-b) * e_k with
 integer weights w (falling factorials times (2k)^s by Leibniz,
 s = |g - b|), so each operand's d^g is a *term map*: source term -> output
@@ -41,9 +43,8 @@ term, w, s.  The map of g is derived from the map of g less one derivative,
 one axis at a time, so a term that dies at some order costs nothing above
 it.  B_m then sums, per output term, coeff * w_a * w_b * (i*pi)^(s_a+s_b) *
 a_t b_u over the multisets of m Pi entries, with every a_t b_u formed once
-as integer numerators.  When an output order has several general parts,
-from every pair and every m (B_0 included), they are added over one common
-denominator, and each output coefficient is reduced once.  Both paths give the same exact result.
+as integer numerators.  Both paths give the same exact result, and both
+add into the same dict.
 
 Each ``multiply``, ``commutator``, ``bidiff`` or associativity sample keeps
 one work table (``_Work``), which the calls nested in it share: the term
@@ -83,11 +84,11 @@ def _numerators(c: CScalar, scale: int) -> list:
     return [(k, x * scale, y * scale) for k, (x, y) in c._num.items()]
 
 
-def _scaled(c: CScalar, scale: int) -> dict:
-    """c's numerators times ``scale``, as {pi power: (re, im)}."""
+def _scaled(num: dict, scale: int) -> dict:
+    """{pi power: (re, im)} of integer numerators, times ``scale``."""
     if scale == 1:
-        return c._num
-    return {k: (x * scale, y * scale) for k, (x, y) in c._num.items()}
+        return num
+    return {k: (x * scale, y * scale) for k, (x, y) in num.items()}
 
 
 def _mul_into(acc: dict, x: dict, y: dict) -> None:
@@ -123,19 +124,6 @@ def _derive_map(parent: list, i: int) -> list:
     return [(t, key, w, s) for (t, key), (w, s) in out.items()]
 
 
-def _sum(space, parts: list[ChartFunction]) -> ChartFunction:
-    """The sum of ``parts`` in one dict; a single nonzero part is returned."""
-    parts = [f for f in parts if f._terms]
-    if len(parts) == 1:
-        return parts[0]
-    out = dict(parts[0]._terms) if parts else {}
-    for f in parts[1:]:
-        for key, c in f._terms.items():
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-    return _chartfn(space, out)
-
-
 class _Work:
     """What the kernel calls of one star-product call share, each entry
     built when an order first needs it.  Operands are keyed by ``id`` and
@@ -145,8 +133,9 @@ class _Work:
     order and the pair products a_t b_u of each (a, b), which every order m
     reuses.  The Fourier path reads the pair table of each (a, b): every
     a_k b_l as integer numerators over one denominator, summed by ns and
-    k+l; and, for each ns, the numerators of w^m = (-4*pi^2 * s)^m over
-    pden^m, pden the lcm of the Pi entries' denominators."""
+    by the term key of e_{k+l}; and, for each ns, the numerators of
+    w^m = (-4*pi^2 * s)^m over pden^m, pden the lcm of the Pi entries'
+    denominators."""
 
     def __init__(self, product: "PureStarProduct"):
         self.product = product
@@ -160,7 +149,7 @@ class _Work:
         zero = (0,) * product.space.dim
         # m -> ([(order on a, order on b, coeff, last entry, its run length)], lcm of coeff dens)
         self.multisets: dict = {0: ([(zero, zero, _ONE, 0, 0)], 1)}
-        self.pairs: dict = {}  # (id(a), id(b)) -> (den, {ns: {k+l: numerators}})
+        self.pairs: dict = {}  # (id(a), id(b)) -> (den, {ns: {(0, k+l): numerators}})
         self.powers: dict = {}  # ns -> [numerators of w^m over pden^m for m = 0, 1, ...]
 
     def term_map(self, f: ChartFunction, order: tuple[int, ...]) -> list:
@@ -214,28 +203,23 @@ class _Work:
         """(den, groups): the pair table of two pure Fourier sums.  Every
         a_k b_l is formed once, as integer numerators {pi power: (re, im)}
         over den, the lcm of a's coefficient denominators times that of
-        b's, and summed into groups[ns][k+l], ns the tuple of
-        k_i l_j - k_j l_i over the Pi^ij with i < j.  The groups with
-        s = k.Pi.l = 0 are kept, since B_0 reads every pair."""
+        b's, and summed into groups[ns][key], key the term key of e_{k+l}
+        and ns the tuple of k_i l_j - k_j l_i over the Pi^ij with i < j.
+        The groups with s = k.Pi.l = 0 are kept, since B_0 reads every
+        pair."""
         got = self.pairs.get((id(a), id(b)))
         if got is None:
             self.operands[id(a)], self.operands[id(b)] = a, b
             da = lcm(*(c._den for c in a._terms.values()))
             db = lcm(*(c._den for c in b._terms.values()))
-            ys = [(l, _scaled(c, db // c._den)) for (_, l), c in b._terms.items()]
+            ys = [(l, _scaled(c._num, db // c._den)) for (_, l), c in b._terms.items()]
             groups: dict = {}
-            for (_, k), c in a._terms.items():
-                x = _scaled(c, da // c._den)
+            for (zero, k), c in a._terms.items():  # a is pure Fourier: zero monomial
+                x = _scaled(c._num, da // c._den)
                 for l, y in ys:
                     ns = tuple([k[i] * l[j] - k[j] * l[i] for i, j, _ in self.upper])
-                    group = groups.get(ns)
-                    if group is None:
-                        group = groups[ns] = {}
-                    f = tuple(map(add, k, l))
-                    acc = group.get(f)
-                    if acc is None:
-                        acc = group[f] = {}
-                    _mul_into(acc, x, y)
+                    group = groups.setdefault(ns, {})
+                    _mul_into(group.setdefault((zero, tuple(map(add, k, l))), {}), x, y)
             got = self.pairs[(id(a), id(b))] = (da * db, groups)
         return got
 
@@ -303,12 +287,9 @@ class PureStarProduct:
         return a
 
     def bidiff(self, m: int, a: ChartFunction, b: ChartFunction) -> ChartFunction:
-        """The order-m bidifferential operator applied to (a, b).
-
-        On two pure Fourier sums B_m is taken in closed form from the pair
-        table of (a, b) (``_fourier_bidiff``), B_0 included; otherwise by
-        the general path of the kernel (``_general_sum``).  Both give the
-        same exact result.
+        """The order-m bidifferential operator applied to (a, b): the
+        kernel's per-order sum ``_order_sum`` on the one part (m, a, b, +1),
+        in closed form when a and b are pure Fourier sums.
         """
         _check_order(m, "bidifferential order")
         for f in (a, b):
@@ -317,19 +298,26 @@ class PureStarProduct:
         if a.space != self.space or b.space != self.space:
             raise ValueError("star-product inputs live on the wrong chart")
         with _shared_work(self) as work:
-            if a.is_trig() and b.is_trig():
-                return self._fourier_bidiff(work, m, a, b)
-            return self._general_sum(work, [(m, a, b, 1)])
+            return self._order_sum(work, [(m, a, b, 1)])
 
-    def _general_sum(self, work: _Work, parts: list) -> ChartFunction:
-        """The sum of sign * B_m(x, y) over ``parts`` (m, x, y, sign), for
-        any inputs.  Every part is added by ``_add_bidiff`` into one dict of
-        integer numerators over the lcm of the parts' denominators, and each
-        output coefficient is reduced once."""
-        den = lcm(*(work.pair_products(x, y)[0] * work.orders(m)[1] for m, x, y, _ in parts))
-        out: dict = {}  # key -> {pi power: (re, im)} over den
+    def _order_sum(self, work: _Work, parts: list) -> ChartFunction:
+        """The sum of sign * B_m(x, y) over ``parts`` (m, x, y, sign).  Every
+        part is added into one dict of integer numerators over the lcm of
+        the parts' denominators: a pair of pure Fourier sums by
+        ``_add_fourier``, any other pair by ``_add_bidiff``.  Each output
+        coefficient is reduced once."""
+        adds = []  # (add, den, m, x, y, sign)
         for m, x, y, sign in parts:
-            self._add_bidiff(work, out, den, sign, m, x, y)
+            if x.is_trig() and y.is_trig():
+                den = work.fourier_groups(x, y)[0] * work.pden**m * factorial(m)
+                adds.append((self._add_fourier, den, m, x, y, sign))
+            else:
+                den = work.pair_products(x, y)[0] * work.orders(m)[1]
+                adds.append((self._add_bidiff, den, m, x, y, sign))
+        den = lcm(*(part[1] for part in adds))
+        out: dict = {}  # key -> {pi power: (re, im)} over den
+        for add_part, _, m, x, y, sign in adds:
+            add_part(work, out, den, sign, m, x, y)
         return _chartfn(self.space, {key: _reduce(CScalar, den, num) for key, num in out.items()})
 
     def _add_bidiff(self, work: _Work, out: dict, den: int, sign: int, m: int, a, b) -> None:
@@ -374,44 +362,37 @@ class PureStarProduct:
                             p = acc.get(k)
                             acc[k] = (x, y) if p is None else (p[0] + x, p[1] + y)
 
-    def _fourier_bidiff(
-        self, work: _Work, m: int, a: ChartFunction, b: ChartFunction
-    ) -> ChartFunction:
-        """B_m(a, b) for pure Fourier sums a, b, in closed form.
+    def _add_fourier(self, work: _Work, out: dict, den: int, sign: int, m: int, a, b) -> None:
+        """Add sign * B_m(a, b) for pure Fourier sums a, b to ``out``,
+        integer numerators over ``den``, a multiple of the pair table's
+        denominator times pden^m * m!.
 
         B_m adds, for each k+l, w^m/m! times the pair table's sum of a_k b_l
         in each group ns (``_Work.fourier_groups``, shared by every order),
-        w = -4*pi^2*s.  The products w^m * c are added in integers into one
-        dict per output frequency, over den * pden^m * m!, and each output
-        coefficient is reduced once.  At m = 0, w^0 = 1 for every group, so
-        B_0 = a * b comes from the same table; at m >= 1 a group with s = 0
-        contributes nothing.
+        w = -4*pi^2*s.  At m = 0, w^0 = 1 for every group, so B_0 = a * b
+        comes from the same table; at m >= 1 a group with s = 0 contributes
+        nothing.
         """
-        den, groups = work.fourier_groups(a, b)
-        out: dict = {}  # k+l -> {pi power: (re, im)}
+        pair_den, groups = work.fourier_groups(a, b)
+        scale = sign * (den // (pair_den * work.pden**m * factorial(m)))
         for ns, group in groups.items():
             w = work.power(ns, m)
             if not w:
                 continue
-            for f, c in group.items():
-                acc = out.get(f)
+            w = _scaled(w, scale)
+            for key, c in group.items():
+                acc = out.get(key)
                 if acc is None:
-                    acc = out[f] = {}
+                    acc = out[key] = {}
                 _mul_into(acc, w, c)
-        den *= work.pden**m * factorial(m)
-        zero = (0,) * self.space.dim
-        return _chartfn(
-            self.space, {(zero, f): _reduce(CScalar, den, num) for f, num in out.items()}
-        )
 
     def _star_sum(self, pairs: list, K: int | None) -> FormalSeries:
         """The sum of sign * (x * y) over ``pairs`` (x, y, sign) of star
         inputs, truncated at K and at every operand's order.
 
         Order k adds sign * B_m(x_j, y_l) for every j + l + m = k with x_j
-        and y_l nonzero, each part by ``bidiff``; but when two or more parts
-        of the order are not pure Fourier pairs, those parts go into one
-        ``_general_sum``, which reduces each output coefficient once."""
+        and y_l nonzero, in one ``_order_sum``; an order whose only part
+        has sign +1 is that part's ``bidiff``."""
         if K is not None:
             _check_order(K, "truncation order K")
         pairs = [(self._promote(x, K), self._promote(y, K), sign) for x, y, sign in pairs]
@@ -420,32 +401,24 @@ class PureStarProduct:
             kmax = min(kmax, K)
 
         def nonzero(s: FormalSeries) -> list:
-            """(order, coefficient, is it a pure Fourier sum) of s's nonzero
-            coefficients."""
-            return [(j, f, f.is_trig()) for j, f in enumerate(s.coeffs) if not f.is_zero()]
+            return [(j, f) for j, f in enumerate(s.coeffs) if not f.is_zero()]
 
         sides = [(nonzero(x), nonzero(y), sign) for x, y, sign in pairs]
         coeffs = []
         with _shared_work(self) as work:
             for k in range(kmax + 1):
-                parts = []  # (m, x, y, sign, are both pure Fourier sums)
+                parts = []  # (m, x, y, sign)
                 for xs, ys, sign in sides:
-                    for j, x, x_trig in xs:
-                        for l, y, y_trig in ys:
+                    for j, x in xs:
+                        for l, y in ys:
                             m = k - j - l
                             if m < 0:
                                 break
-                            parts.append((m, x, y, sign, x_trig and y_trig))
-                general = [(m, x, y, sign) for m, x, y, sign, trig in parts if not trig]
-                fused = len(general) > 1
-                terms = []
-                for m, x, y, sign, trig in parts:
-                    if trig or not fused:
-                        f = self.bidiff(m, x, y)
-                        terms.append(f if sign > 0 else -f)
-                if fused:
-                    terms.append(self._general_sum(work, general))
-                coeffs.append(_sum(self.space, terms))
+                            parts.append((m, x, y, sign))
+                if len(parts) == 1 and parts[0][3] == 1:
+                    coeffs.append(self.bidiff(*parts[0][:3]))
+                else:
+                    coeffs.append(self._order_sum(work, parts))
         return FormalSeries(self.space, coeffs)
 
     def multiply(self, a: StarInput, b: StarInput, K: int | None = None) -> FormalSeries:
@@ -473,6 +446,11 @@ class AssociativityReport:
         return not self.violations
 
 
+def _check_product(product, caller: str) -> None:
+    if not isinstance(product, PureStarProduct):
+        raise TypeError(f"{caller} needs a PureStarProduct, not {type(product).__name__}")
+
+
 def _associator(product: PureStarProduct, triple: tuple, K: int) -> FormalSeries:
     """(a*b)*c - a*(b*c) as one ``_star_sum`` on (a*b, c, +1) and
     (a, b*c, -1); a*b, b*c and the defect share one work table."""
@@ -493,10 +471,7 @@ def check_associativity(
     Violations are report content, not exceptions.  ``product`` must be a
     ``PureStarProduct``, K an int >= 0 and ``samples`` a non-empty iterable.
     """
-    if not isinstance(product, PureStarProduct):
-        raise TypeError(
-            f"check_associativity needs a PureStarProduct, not {type(product).__name__}"
-        )
+    _check_product(product, "check_associativity")
     _check_order(K, "truncation order K")
     samples = tuple(samples)
     if not samples:
@@ -533,6 +508,7 @@ def star_trace(a: StarInput, product: PureStarProduct, K: int | None = None) -> 
     Requires coefficients that are genuine functions on the torus (finite
     Fourier sums with no lifted-coordinate dependence).
     """
+    _check_product(product, "star_trace")
     space = product.space
     if not all(space.periodic):
         raise ValueError("the star-algebra trace is defined on torus charts only")

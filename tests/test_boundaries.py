@@ -22,12 +22,17 @@ from starbundle.gluing import (
     glue_multiplicative_connection,
 )
 from starbundle.gauge import GaugeOperator, gauge_twist
-from starbundle.index import EllipticSymbolClass, check_tensor_consistency
+from starbundle.index import (
+    EllipticSymbolClass,
+    check_homotopy_invariance,
+    check_tensor_consistency,
+    twisted_index,
+)
 from starbundle.manifold import Sphere2, Torus
 from starbundle.poisson import PoissonStructure
 from starbundle.scalar import Scalar
 from starbundle.series import FormalSeries
-from starbundle.star import PureStarProduct, check_associativity
+from starbundle.star import PureStarProduct, check_associativity, star_trace
 
 T2 = Torus(2)
 X = ChartFunction.variable(T2.space, "x")
@@ -388,6 +393,60 @@ CASES = [
         ).verify(),
         TypeError,
         "primitive 0 must be a DifferentialForm, not int",
+    ),
+    (
+        "star-trace-str-product",
+        lambda: star_trace(X, "P", 2),
+        TypeError,
+        "star_trace needs a PureStarProduct, not str",
+    ),
+    (
+        "gauge-twist-str-product",
+        lambda: gauge_twist("P", GaugeOperator.identity(R2, 2)),
+        TypeError,
+        "gauge_twist needs a PureStarProduct, not str",
+    ),
+    (
+        "gauge-twist-str-gauge",
+        lambda: gauge_twist(S2, "T"),
+        TypeError,
+        "gauge_twist needs a GaugeOperator, not str",
+    ),
+    (
+        "gauge-identity-negative-K",
+        lambda: GaugeOperator.identity(R2, -1),
+        ValueError,
+        "truncation order K must be >= 0, not -1",
+    ),
+    (
+        "form-basis-unknown-covector",
+        lambda: DifferentialForm.basis(T2, "dz"),
+        KeyError,
+        "no covector 'dz' on Torus(n=2, names=('x', 'y')), whose covectors are ('dx', 'dy')",
+    ),
+    (
+        "twisted-index-str-symbol",
+        lambda: twisted_index("a", None, T2),
+        TypeError,
+        "twisted_index needs an EllipticSymbolClass, not str",
+    ),
+    (
+        "twisted-index-str-omega",
+        lambda: twisted_index(EllipticSymbolClass.identity(T2), "w", T2),
+        TypeError,
+        "omega must be a DifferentialForm or None, not str",
+    ),
+    (
+        "homotopy-str-target",
+        lambda: check_homotopy_invariance(
+            EllipticSymbolClass.identity(T2),
+            constant_two_form(T2, 1),
+            T2,
+            DifferentialForm.basis(T2, "dx"),
+            target="foo",
+        ),
+        ValueError,
+        """target must be "omega" or an int degree, not 'foo'""",
     ),
     (
         "series-constant-negative-K",

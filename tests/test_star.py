@@ -8,7 +8,7 @@ import pytest
 
 from starbundle.chartfn import ChartFunction, ChartSpace
 from starbundle.poisson import PoissonStructure, poisson_bracket
-from starbundle.scalar import CScalar, Scalar
+from starbundle.scalar import CScalar, Scalar, _reduce
 from starbundle.series import FormalSeries
 from starbundle import star
 from starbundle.star import PureStarProduct, check_associativity, star_trace
@@ -299,8 +299,13 @@ def series_by_orders(product, sa, sb, K, bidiff):
 
 
 def general_bidiff(product, m, a, b):
-    """B_m(a, b) by the general path of the kernel, whatever the inputs."""
-    return product._general_sum(star._Work(product), [(m, a, b, 1)])
+    """B_m(a, b) by the general path of the kernel, whatever the inputs:
+    ``_add_bidiff`` into integer numerators, each coefficient reduced once."""
+    work = star._Work(product)
+    den = work.pair_products(a, b)[0] * work.orders(m)[1]
+    out = {}
+    product._add_bidiff(work, out, den, 1, m, a, b)
+    return ChartFunction(product.space, {key: _reduce(CScalar, den, num) for key, num in out.items()})
 
 
 def derivative_series(product, sa, sb, K):
@@ -583,10 +588,10 @@ def unfused_multiply(product, x, y, K):
 
 
 @pytest.mark.parametrize("case", ["R4-degree-4-6", "T2-trig", "T2-mixed", "cross", "order-1-break"])
-def test_fused_sums_match_unfused_reference(rng, case):
+def test_fused_sums_match_unfused_reference(rng, monkeypatch, case):
     # the kernel sums every pair and order of an output coefficient before
-    # it reduces; the reference forms each B_m, each product and each
-    # difference on its own
+    # it reduces, Fourier parts included; the reference forms each B_m,
+    # each product and each difference on its own
     K = 4
     if case == "R4-degree-4-6":
         product = S4
@@ -611,9 +616,19 @@ def test_fused_sums_match_unfused_reference(rng, case):
         for k in range(K + 1):
             assert got.coefficient(k) == want.coefficient(k)
 
+    # no part of the associator is negated or added as a chart function
+    added = []
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__neg__"):
+            real = getattr(ChartFunction, name)
+            patch.setattr(
+                ChartFunction, name, lambda *args, real=real, name=name: added.append(name) or real(*args)
+            )
+        got = star._associator(product, triple, K)
+    assert added == []
     ab, bc = unfused_multiply(product, a, b, K), unfused_multiply(product, b, c, K)
     defect = unfused_multiply(product, ab, c, K) - unfused_multiply(product, a, bc, K)
-    same(star._associator(product, triple, K), defect)
+    same(got, defect)
     assert defect.is_zero() != (case == "order-1-break")
     same(
         product.commutator(a, b, K),
@@ -624,8 +639,8 @@ def test_fused_sums_match_unfused_reference(rng, case):
         product._star_sum([(ab, c, 1), (b, c, -1)], K),
         unfused_multiply(product, ab, c, K) - unfused_multiply(product, b, c, K),
     )
-    # a subtracted pair whose orders hold one part each, so it is a bidiff
-    # call unless the other pair also has a general part
+    # a subtracted pair whose orders hold one part each, summed with the
+    # other pair's part in one order sum
     same(
         product._star_sum([(b, c, 1), (a, b, -1)], K),
         unfused_multiply(product, b, c, K) - unfused_multiply(product, a, b, K),
