@@ -14,79 +14,16 @@ so it is not checked.
 law: verify already proves every nerve triple sum equal to its stored
 constant, so the build runs neither check.  They serve data wrapped
 directly by ``LocalLineBundle(data)``.
-
-Fiber elements are represented in polar form r * e^{i*gamma} with rational
-magnitude and Scalar phase, so unitarity and phase cancellations are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .cech import CechConnectionData
 from .chartfn import ChartFunction
 from .report import CheckReport
-from .scalar import Scalar
-
-
-@dataclass(frozen=True)
-class PolarC:
-    """Exact complex number r * e^{i*gamma}; r rational >= 0, gamma a Scalar."""
-
-    mag: Fraction
-    phase: Scalar
-
-    def __post_init__(self):
-        if self.mag < 0:
-            raise ValueError("polar magnitude must be nonnegative")
-
-    @staticmethod
-    def one() -> "PolarC":
-        return PolarC(Fraction(1), Scalar.zero())
-
-    @staticmethod
-    def unit(phase: Scalar) -> "PolarC":
-        return PolarC(Fraction(1), phase)
-
-    @staticmethod
-    def minus_one() -> "PolarC":
-        return PolarC(Fraction(1), Scalar.pi())
-
-    def __mul__(self, other: "PolarC") -> "PolarC":
-        return PolarC(self.mag * other.mag, self.phase + other.phase)
-
-    def inverse(self) -> "PolarC":
-        if self.mag == 0:
-            raise ZeroDivisionError("zero fiber element")
-        return PolarC(1 / self.mag, -self.phase)
-
-    def __eq__(self, other: object) -> bool:
-        """Equality as complex numbers: phases compared mod 2*pi."""
-        if not isinstance(other, PolarC):
-            return NotImplemented
-        if self.mag != other.mag:
-            return False
-        if self.mag == 0:
-            return True
-        return (self.phase - other.phase).is_two_pi_integer()
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash(self.mag)
-
-    def __str__(self) -> str:
-        return f"{self.mag}*e^(i*({self.phase}))"
-
-
-@dataclass(frozen=True)
-class GermElement:
-    """A fiber element over a pair of nearby points, in a chart trivialization."""
-
-    chart: int
-    point_left: tuple[Fraction, ...]
-    point_right: tuple[Fraction, ...]
-    value: PolarC
 
 
 class BundleError(ValueError):
@@ -111,49 +48,6 @@ class LocalLineBundle:
         self.data = data
         self.cover = data.cover
         self.torus = data.torus
-
-    # -- phase evaluation ----------------------------------------------------
-
-    def _phase_at(self, i: int, j: int, anchor: int, point: Sequence[Fraction]) -> Scalar:
-        """phi_ij evaluated at a point given in the anchor chart's frame."""
-        # phi read in the anchor frame is phi.shift(d) with d = frame_shift(anchor, i),
-        # and phi.shift(d)(x) = phi(x + d): move the point, not phi
-        shift = self.cover.frame_shift(anchor, i)
-        value = self.data.transition(i, j).evaluate(
-            {n: p + shift[n] for n, p in zip(self.torus.names, point)}
-        )
-        if not value.is_real():
-            raise AssertionError("transition phase must be real")
-        return value.re
-
-    def gluing_value(
-        self,
-        i: int,
-        j: int,
-        anchor: int,
-        x: Sequence[Fraction],
-        y: Sequence[Fraction],
-    ) -> PolarC:
-        """The unitary e^{i phi_ij(x)} * e^{-i phi_ij(y)} mapping the chart-j
-        trivialization of the fiber over (x, y) to the chart-i one."""
-        return PolarC.unit(self._phase_at(i, j, anchor, x) - self._phase_at(i, j, anchor, y))
-
-    def transport(self, germ: GermElement, to_chart: int, anchor: int) -> GermElement:
-        if germ.chart == to_chart:
-            return germ
-        g = self.gluing_value(to_chart, germ.chart, anchor, germ.point_left, germ.point_right)
-        return GermElement(to_chart, germ.point_left, germ.point_right, g * germ.value)
-
-    def compose(self, u: GermElement, v: GermElement, anchor: int, chart: int | None = None) -> GermElement:
-        """H(u (x) v): multiply in a common trivialization.
-
-        The germs must be composable: u over (x, y), v over (y, z)."""
-        if u.point_right != v.point_left:
-            raise BundleError("germs are not composable")
-        chart = u.chart if chart is None else chart
-        uu = self.transport(u, chart, anchor)
-        vv = self.transport(v, chart, anchor)
-        return GermElement(chart, u.point_left, v.point_right, uu.value * vv.value)
 
     # -- invariant checks ------------------------------------------------------
 

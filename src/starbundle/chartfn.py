@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import add
+from operator import add, index
 from typing import Mapping, Sequence, Union
 
 from .scalar import CScalar, Scalar, _new, _reduce
@@ -128,8 +128,12 @@ class ChartFunction:
         n = space.dim
         if terms:
             for (mon, freq), c in terms.items():
-                mon = tuple(int(e) for e in mon)
-                freq = tuple(int(k) for k in freq)
+                try:
+                    mon, freq = tuple(map(index, mon)), tuple(map(index, freq))
+                except TypeError:
+                    raise TypeError(
+                        f"term {(mon, freq)!r} needs int exponents and frequencies"
+                    ) from None
                 if len(mon) != n or len(freq) != n:
                     raise ValueError("term arity does not match chart dimension")
                 if any(e < 0 for e in mon):
@@ -180,7 +184,7 @@ class ChartFunction:
     ) -> "ChartFunction":
         mon = [0] * space.dim
         for name, e in exponents.items():
-            mon[space.index(name)] = int(e)
+            mon[space.index(name)] = e
         zero = (0,) * space.dim
         return ChartFunction(space, {(tuple(mon), zero): CScalar.coerce(coeff)})
 
@@ -190,7 +194,7 @@ class ChartFunction:
     ) -> "ChartFunction":
         freq = [0] * space.dim
         for name, k in freqs.items():
-            freq[space.index(name)] = int(k)
+            freq[space.index(name)] = k
         zero = (0,) * space.dim
         return ChartFunction(space, {(zero, tuple(freq)): CScalar.coerce(coeff)})
 

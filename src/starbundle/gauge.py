@@ -26,8 +26,8 @@ class ConstCoeffOperator:
     def from_dict(space: ChartSpace, data: Mapping[tuple[int, ...], Scalar | int]) -> "ConstCoeffOperator":
         items = []
         for order, coeff in data.items():
-            order = tuple(int(o) for o in order)
-            if len(order) != space.dim or any(o < 0 for o in order):
+            order = tuple(_check_order(o, f"derivative order in {order!r}") for o in order)
+            if len(order) != space.dim:
                 raise ValueError(f"bad derivative multi-index {order}")
             coeff = Scalar.coerce(coeff)
             if not coeff.is_zero():
@@ -77,7 +77,7 @@ class GaugeOperator:
     def from_dict(space: ChartSpace, K: int, ops: Mapping[int, ConstCoeffOperator]) -> "GaugeOperator":
         items = []
         for k, op in ops.items():
-            k = int(k)
+            k = _check_order(k, f"gauge order {k!r}")
             if k < 1:
                 raise ValueError(
                     "gauge operator has an order-0 part: not formally invertible"

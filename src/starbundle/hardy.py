@@ -1,196 +1,117 @@
-"""Hardy-space Toeplitz operators on the circle with numerical index.
+"""Toeplitz operators on the Hardy space of the circle, with exact index.
 
-The compression of multiplication by a trig polynomial f to the span of
-Fourier modes 0..N is the banded matrix T_f[j, k] = fhat(j - k).  Finite
-square truncations of T_f T_g and T_g T_f have equal traces, so the naive
-trace difference is identically zero; the stabilized estimate multiplies
-the semi-infinite operators first (by padding with the joint bandwidth and
-compressing afterwards), which reproduces -winding(f) as N and the
-parametrix order M grow.
+A symbol f = sum c_n z^n (lo <= n <= hi, z = e(x)) is a ChartFunction on
+Torus(1) with pi-free coefficients in Q(i).  T_f is Fredholm iff f has no
+zero on the circle (f is elliptic), and then ind T_f = -winding(f)
+(Boettcher-Silbermann, *Analysis of Toeplitz Operators*); both are decided
+in Fractions.  p = z^(-lo) f has degree d = hi - lo.  The Cayley map
+z = (1 + iu)/(1 - iu) sends the real line onto the circle without z = -1,
+and p(z)(1 - iu)^d = R(u) + i I(u), R and I in Q[u], with u^d coefficient
+(-i)^d p(-1).  Along the line arg (1 - iu)^d falls by d*pi, and arg(R + iI)
+moves by pi times the Cauchy index Ind(R/I) unless the path ends on the
+real axis, as it does when the u^d coefficient is real (1/2 + z^2 would
+count 1, not 2); then R + iI is first turned by i: (R, I) -> (-I, R).
+So winding(f) = lo + (Ind(R/I) + d)/2.  Ind(R/I) = V(-oo) - V(+oo), the
+sign changes of the Sturm chain I, R, -rem, ..., which ends in g = gcd(R, I)
+(Henrici, *Applied and Computational Complex Analysis* I).  f is elliptic
+iff p(-1) != 0 and g, whose real roots are the zeros of f off z = -1, has
+none: Ind(g'/g) = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from fractions import Fraction
+from math import comb
 
-import numpy as np
-
-
-class SymbolFunction:
-    """Trig polynomial with complex float coefficients (the index is a float trace)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, complex]):
-        clean = {}
-        for n, c in coeffs.items():
-            c = complex(c)
-            if c:
-                clean[int(n)] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("SymbolFunction is immutable")
-
-    @staticmethod
-    def constant(c) -> "SymbolFunction":
-        return SymbolFunction({0: c})
-
-    @staticmethod
-    def mode(n: int, c=1) -> "SymbolFunction":
-        return SymbolFunction({n: c})
-
-    def __add__(self, other: "SymbolFunction") -> "SymbolFunction":
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, 0j) + c
-        return SymbolFunction(out)
-
-    def __mul__(self, other: "SymbolFunction") -> "SymbolFunction":
-        out: dict[int, complex] = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                n = n1 + n2
-                out[n] = out.get(n, 0j) + c1 * c2
-        return SymbolFunction(out)
-
-    @property
-    def bandwidth(self) -> int:
-        return max((abs(n) for n in self.coeffs), default=0)
-
-    def coefficient(self, n: int) -> complex:
-        return self.coeffs.get(n, 0j)
-
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
-    def sample(self, count: int) -> np.ndarray:
-        theta = 2 * np.pi * np.arange(count) / count
-        values = np.zeros(count, dtype=complex)
-        for n, c in self.coeffs.items():
-            values += c * np.exp(1j * n * theta)
-        return values
-
-    def margin(self, samples: int = 4096) -> float:
-        """Certified lower bound for min |f| on the circle.
-
-        Dense-grid minimum minus the Lipschitz slack sum |n c_n| * (pi/L).
-        """
-        if not self.coeffs:
-            return 0.0
-        values = np.abs(self.sample(samples))
-        slack = sum(abs(n) * abs(c) for n, c in self.coeffs.items())
-        return float(values.min() - slack * np.pi / samples)
-
-    def is_elliptic(self) -> bool:
-        return self.margin() > 0
-
-    def winding_number(self) -> int:
-        """Independent oracle: (1/2*pi*i) contour integral of f'/f.
-
-        For a trig polynomial f = e^{-iB theta} p(e^{i theta}) the winding
-        equals the number of roots of p inside the unit disk minus B.
-        """
-        if not self.is_elliptic():
-            raise ValueError("winding number needs an elliptic symbol")
-        lo = min(self.coeffs)
-        hi = max(self.coeffs)
-        poly = [self.coefficient(n) for n in range(hi, lo - 1, -1)]
-        roots = np.roots(poly)
-        inside = int(np.sum(np.abs(roots) < 1.0))
-        return inside + lo
+from .chartfn import ChartFunction
 
 
-def toeplitz(f: SymbolFunction, size: int) -> np.ndarray:
-    """The banded compression P M_f P on modes 0..size-1."""
-    out = np.zeros((size, size), dtype=complex)
-    for band, c in f.coeffs.items():
-        idx = np.arange(max(0, band), min(size, size + band))
-        out[idx, idx - band] = c
-    return out
+def _rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The remainder of a by b, with len(b) - 1 coefficients, some maybe 0."""
+    a = list(a)
+    while len(a) >= len(b):
+        q, shift = a.pop() / b[-1], len(a) - len(b) + 1
+        for i, c in enumerate(b[:-1]):
+            a[shift + i] -= q * c
+    return a
 
 
-@dataclass(frozen=True)
-class ParametrixResult:
-    symbol: SymbolFunction
-    truncation_bound: float
-    method: str
+def _cauchy_index(a: list[Fraction], b: list[Fraction]) -> tuple[int, list[Fraction]]:
+    """Ind(b/a) over the real line, and gcd(a, b) up to a unit.
+
+    Polynomials list their coefficients from degree 0 up; a[-1] != 0."""
+    chain = [a]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        chain.append(b)
+        a, b = b, [-c for c in _rem(a, b)]
+
+    def variations(at_minus_infinity: bool) -> int:
+        # the sign of p at -oo is its leading sign, flipped for odd degree
+        signs = [(p[-1] > 0) != (at_minus_infinity and len(p) % 2 == 0) for p in chain]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(True) - variations(False), chain[-1]
 
 
-def invert_symbol(f: SymbolFunction, M: int) -> ParametrixResult:
-    """Order-M Fourier truncation of 1/f with a reported error bound.
-
-    Monomials invert directly; dominant-constant symbols use the Neumann
-    recursion with a geometric tail bound; everything else falls back to
-    dense-grid quadrature with an empirical decay bound.
-    """
-    if not f.coeffs:
-        raise ValueError("cannot invert the zero symbol")
-    if f.is_monomial():
-        ((n, c),) = f.coeffs.items()
-        return ParametrixResult(SymbolFunction({-n: 1 / c}), 0.0, "exact-monomial")
-    c0 = f.coefficient(0)
-    rest_mass = sum(abs(c) for n, c in f.coeffs.items() if n != 0)
-    if abs(c0) > rest_mass:
-        # Neumann series sum (-1)^k (f - c0)^k / c0^{k+1}, clipped to [-M, M]
-        rest = SymbolFunction({n: c for n, c in f.coeffs.items() if n != 0})
-        ratio = rest_mass / abs(c0)
-        term = SymbolFunction({0: 1 / c0})
-        total = term
-        clipped = 0.0
-        k = 0
-        while True:
-            k += 1
-            term = term * rest
-            term = SymbolFunction({n: -c / c0 for n, c in term.coeffs.items()})
-            kept = {n: c for n, c in term.coeffs.items() if abs(n) <= M}
-            clipped += sum(abs(c) for n, c in term.coeffs.items() if abs(n) > M)
-            total = total + SymbolFunction(kept)
-            tail = ratio**k / (abs(c0) * (1 - ratio))
-            if tail < 1e-30 or k > 400:
-                break
-        return ParametrixResult(total, tail + clipped, "neumann")
-    # quadrature fallback (FFT-free by design)
-    B = f.bandwidth
-    L = max(1024, 8 * (M + B))
-    theta = 2 * np.pi * np.arange(L) / L
-    inv_values = 1.0 / f.sample(L)
-    ns = np.arange(-M, M + 1)
-    phases = np.exp(-1j * np.outer(ns, theta))
-    ghat = phases @ inv_values / L
-    coeffs = {int(n): value for n, value in zip(ns, ghat) if abs(value) > 1e-15}
-    edge = np.abs(ghat[np.abs(ns) >= max(1, M - 2)]).max() if M >= 1 else 0.0
-    mid = np.abs(ghat[np.abs(ns) >= max(1, M // 2)]).max()
-    ratio = min(0.99, (edge / mid) ** (1.0 / max(1, M - M // 2))) if mid > 0 else 0.0
-    bound = float(edge * ratio / (1 - ratio)) if ratio < 1 else float("inf")
-    return ParametrixResult(SymbolFunction(coeffs), bound, "quadrature")
+def _laurent(f: ChartFunction) -> tuple[int, list[tuple[Fraction, Fraction]]]:
+    """lo and the coefficients (re, im) of p = z^(-lo) f, from degree 0 up."""
+    if not isinstance(f, ChartFunction):
+        raise TypeError(f"a Hardy symbol must be a ChartFunction, not {type(f).__name__}")
+    if f.space.periodic != (True,):
+        raise ValueError(f"a Hardy symbol needs a one-coordinate periodic chart, not {f.space}")
+    coeffs = {}
+    for ((e,), (n,)), c in f.terms.items():
+        if e:
+            raise ValueError(f"symbol {f} depends on the lifted coordinate (exponent {e})")
+        if not (c.re.is_rational() and c.im.is_rational()):
+            raise ValueError(f"coefficient {c} has a pi power: Sturm signs need pi-free coefficients")
+        coeffs[n] = (c.re.as_fraction(), c.im.as_fraction())
+    if not coeffs:
+        raise ValueError("the zero symbol has no index")
+    lo, hi = min(coeffs), max(coeffs)
+    return lo, [coeffs.get(n, (0, 0)) for n in range(lo, hi + 1)]
 
 
-@dataclass(frozen=True)
-class HardyIndexResult:
-    value: float
-    N: int
-    M: int
-    parametrix_method: str
-    parametrix_bound: float
+def _winding(f: ChartFunction) -> int | None:
+    """winding(f) when f is elliptic, None when f vanishes on the circle."""
+    lo, p = _laurent(f)
+    d = len(p) - 1
+    R, I = [], []
+    for j in range(d + 1):
+        # u^j in sum_k p_k (1 + iu)^k (1 - iu)^(d - k) is i^j sum_k w_jk p_k
+        re = im = Fraction(0)
+        for k, (a, b) in enumerate(p):
+            w = sum((-1) ** (j - s) * comb(k, s) * comb(d - k, j - s) for s in range(j + 1))
+            re, im = re + w * a, im + w * b
+        for _ in range(j % 4):
+            re, im = -im, re
+        R.append(re)
+        I.append(im)
+    if not (R[d] or I[d]):
+        return None
+    if not I[d]:
+        R, I = [-c for c in I], R
+    index, g = _cauchy_index(I, R)
+    if _cauchy_index(g, [k * c for k, c in enumerate(g)][1:])[0]:
+        return None
+    return lo + (index + d) // 2
 
 
-def hardy_index(f: SymbolFunction, N: int, M: int) -> HardyIndexResult:
-    """Stabilized trace estimate of ind(T_f); converges to -winding(f).
+def is_elliptic(f: ChartFunction) -> bool:
+    """f has no zero on the circle, so T_f is Fredholm."""
+    return _winding(f) is not None
 
-    Tr(T_f T_g - P) - Tr(T_g T_f - P) over the rank-(N+1) compression,
-    with the products formed at padded size so the corner terms match the
-    semi-infinite operators.
-    """
-    if not f.is_elliptic():
-        raise ValueError("hardy_index needs an elliptic symbol (margin > 0)")
-    par = invert_symbol(f, M)
-    g = par.symbol
-    size = N + 1 + max(f.bandwidth, g.bandwidth)
-    tf = toeplitz(f, size)
-    tg = toeplitz(g, size)
-    fg = (tf @ tg)[: N + 1, : N + 1]
-    gf = (tg @ tf)[: N + 1, : N + 1]
-    value = float(np.real(np.trace(fg) - np.trace(gf)))
-    return HardyIndexResult(value, N, M, par.method, par.truncation_bound)
+
+def winding_number(f: ChartFunction) -> int:
+    """The winding number of f around 0 along the circle; f must be elliptic."""
+    wind = _winding(f)
+    if wind is None:
+        raise ValueError(f"symbol {f} vanishes on the circle: not elliptic")
+    return wind
+
+
+def toeplitz_index(f: ChartFunction) -> int:
+    """ind T_f = -winding(f) for an elliptic symbol f."""
+    return -winding_number(f)

@@ -21,7 +21,8 @@ from starbundle.gluing import (
     chern_class,
     glue_multiplicative_connection,
 )
-from starbundle.gauge import GaugeOperator, gauge_twist
+from starbundle.gauge import ConstCoeffOperator, GaugeOperator, gauge_twist
+from starbundle.hardy import is_elliptic, toeplitz_index, winding_number
 from starbundle.index import (
     EllipticSymbolClass,
     check_homotopy_invariance,
@@ -39,6 +40,8 @@ X = ChartFunction.variable(T2.space, "x")
 R2 = ChartSpace.euclidean(("x", "y"))
 U = ChartFunction.variable(R2, "x")
 S2 = PureStarProduct(PoissonStructure.standard(R2))
+T1 = Torus(1)
+Z = ChartFunction.fourier(T1.space, {"x": 1})
 
 
 def glue_tampered():
@@ -453,6 +456,72 @@ CASES = [
         lambda: FormalSeries.constant(U, -1),
         ValueError,
         "truncation order K must be >= 0, not -1",
+    ),
+    (
+        "chartfn-float-exponent",
+        lambda: ChartFunction(T2.space, {((1.5, 0), (0, 0)): 1}),
+        TypeError,
+        "term ((1.5, 0), (0, 0)) needs int exponents and frequencies",
+    ),
+    (
+        "chartfn-monomial-float-exponent",
+        lambda: ChartFunction.monomial(T2.space, {"x": 2.9}),
+        TypeError,
+        "term ((2.9, 0), (0, 0)) needs int exponents and frequencies",
+    ),
+    (
+        "chartfn-fourier-float-frequency",
+        lambda: ChartFunction.fourier(T2.space, {"x": 1.2}),
+        TypeError,
+        "term ((0, 0), (1.2, 0)) needs int exponents and frequencies",
+    ),
+    (
+        "const-coeff-float-order",
+        lambda: ConstCoeffOperator.from_dict(R2, {(1.5, 0): 1}),
+        TypeError,
+        "derivative order in (1.5, 0) must be an int, not float",
+    ),
+    (
+        "gauge-float-order",
+        lambda: GaugeOperator.from_dict(R2, 3, {1.5: ConstCoeffOperator.laplacian(R2)}),
+        TypeError,
+        "gauge order 1.5 must be an int, not float",
+    ),
+    (
+        "hardy-str-symbol",
+        lambda: winding_number("z"),
+        TypeError,
+        "a Hardy symbol must be a ChartFunction, not str",
+    ),
+    (
+        "hardy-two-coordinate-chart",
+        lambda: is_elliptic(X),
+        ValueError,
+        "a Hardy symbol needs a one-coordinate periodic chart",
+    ),
+    (
+        "hardy-lifted-coordinate",
+        lambda: winding_number(Z + ChartFunction.variable(T1.space, "x")),
+        ValueError,
+        "depends on the lifted coordinate (exponent 1)",
+    ),
+    (
+        "hardy-pi-coefficient",
+        lambda: toeplitz_index(Z + Scalar.pi()),
+        ValueError,
+        "coefficient pi has a pi power: Sturm signs need pi-free coefficients",
+    ),
+    (
+        "hardy-zero-symbol",
+        lambda: is_elliptic(ChartFunction.zero(T1.space)),
+        ValueError,
+        "the zero symbol has no index",
+    ),
+    (
+        "hardy-not-elliptic",
+        lambda: toeplitz_index(1 + Z),
+        ValueError,
+        "symbol (1)*1 + (1)*e(1x) vanishes on the circle: not elliptic",
     ),
 ]
 

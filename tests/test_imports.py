@@ -53,6 +53,26 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _modules(tree: ast.Module):
+    """Dotted names of the modules that import statements load."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_only_berezin_imports_numpy():
+    """Floats stay out of the exact package: the float sandbox of berezin.py
+    is the one module that may import numpy."""
+    importers = {
+        path.name
+        for path in MODULES
+        if any(m.split(".")[0] == "numpy" for m in _modules(ast.parse(path.read_text())))
+    }
+    assert importers == {"berezin.py"}
+
+
 def test_detects_an_unused_import():
     tree = ast.parse("from math import comb, factorial\nx: 'Sequence' = comb(2, 1)\n")
     assert set(_imported(tree)) - _used(tree) == {"factorial"}
