@@ -6,9 +6,11 @@ product unitary e^{i phi_ij(x)} x e^{-i phi_ij(y)}.  Both bundle laws hold
 exactly when every triple sum T = phi_ij + phi_jk + phi_ki is constant: the
 gluing cocycle's phase defect is T(x) - T(y), and the composition's over a
 chain p, q, r, s is T(s) - T(r).  Both checks read T from the datum's table
-and evaluate no point.  The unit on the diagonal is the constant 1 in every
-chart; its gluing over (x, x) is e^{i(phi(x) - phi(x))} = 1 for every phi,
-so it is not checked.
+and evaluate no point: after ``verify`` the table holds the constant
+function T(0) of each triple that verify proved constant by telescoping
+(``cech`` module docstring), and any other sum is built on first use.  The
+unit on the diagonal is the constant 1 in every chart; its gluing over
+(x, x) is e^{i(phi(x) - phi(x))} = 1 for every phi, so it is not checked.
 
 ``build_local_line_bundle`` relies on ``data.verify()`` for the cocycle
 law: verify already proves every nerve triple sum equal to its stored

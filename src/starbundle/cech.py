@@ -17,9 +17,12 @@ transitions of a nerve pair are the affine functions
 the second being (-phi_ij).shift(frame_shift(j, i)).  ``solve_cech`` writes
 every coefficient as theta times one rational number, with the centres read
 in the cover's integer units of 1/den (``GoodCover.lattice``) and no
-function arithmetic, and reads each triple constant off the constant term
-of its triple sum.  It trusts none of this: it runs the full ``verify`` on
-what it built.
+function arithmetic, and reads each triple constant as T(0) (telescoping,
+below).  It trusts none of this: it runs the full ``verify`` on what it
+built.  ``verify`` adds translated and differentiated terms straight into
+one integer ``_lincomb`` sum per identity and term key (``_shift_into``,
+``_derive_into``), reading frame_shift(i, j) as the int vector
+pair_lift(j, i); it builds no shifted or derived function.
 
 Pair-once rule.  Every frame shift is an integer lattice vector and
 frame_shift(j, i) = -frame_shift(i, j), since ``GoodCover`` builds both from
@@ -30,6 +33,16 @@ Where it holds, the overlap law in one direction is the law in the other
 direction shifted and negated (proof: f_j - f_i.shift(d_ji) = d phi_ji
 = -(d phi_ij).shift(d_ji) iff f_j.shift(d_ij) = f_i - d phi_ij), so the
 overlap law is decided once and holds or fails in both directions.
+
+Telescoping.  With d_ij = frame_shift(i, j), the lifts of a nerve triple
+agree, d_ij + d_jk = d_ik (``test_nerve_matches_fraction_reference``).  So
+where the overlap law holds on (i, j), (j, k) and (k, i), the triple sum
+T(u) = phi_ij(u) + phi_jk(u + d_ij) + phi_ki(u + d_ik) has dT =
+(f_i - f_j(u + d_ij)) + (f_j - f_k(u + d_jk))(u + d_ij) + (f_k - f_i(u - d_ik))(u + d_ik)
+= 0, and only constants have d = 0.  ``verify`` compares the stored constant
+with T(0) = phi_ij(0) + phi_jk(d_ij) + phi_ki(d_ik), the terms read at
+integer points with phase 1, and keeps that constant as the triple's sum; a
+triple with a failing pair gets its full sum.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .chartfn import ChartFunction, _chartfn, _lincomb
+from .chartfn import ChartFunction, _chartfn, _derive_into, _lincomb, _shift_into, _value_into
 from .cover import GoodCover
 from .forms import DifferentialForm
 from .manifold import Torus
@@ -61,22 +74,21 @@ def _triple_sum(cover: GoodCover, transitions: Mapping, i: int, j: int, k: int) 
     parts: dict = {}
     for a, b in ((i, j), (j, k), (k, i)):
         if a != b:
-            phi = transitions[(a, b)]
-            if a != i:
-                phi = phi.shift(cover.frame_shift(i, a))
-            for key, c in phi._terms.items():
-                parts.setdefault(key, []).append((c._den, c._num, 1, 0))
+            _shift_into(parts, transitions[(a, b)], cover.pair_lift(a, i), 1)
     return _chartfn(cover.torus.space, {key: _lincomb(p) for key, p in parts.items()})
 
 
-def _vanishes(*signed: tuple[int, ChartFunction]) -> bool:
-    """The sum of sign * f over ``signed`` is identically 0, decided per
-    term key as one signed ``_lincomb``, with no negated copy and no
-    intermediate function."""
-    parts: dict = {}
-    for sign, f in signed:
-        for key, c in f._terms.items():
-            parts.setdefault(key, []).append((c._den, c._num, sign, 0))
+def _sum_at_origin(cover: GoodCover, transitions: Mapping, i: int, j: int, k: int) -> CScalar:
+    """T(0) for the sum T of a nerve triple, each phi_ab read at the integer
+    point frame_shift(i, a) (telescoping, module docstring)."""
+    parts: list = []
+    for a, b in ((i, j), (j, k), (k, i)):
+        _value_into(parts, transitions[(a, b)], cover.pair_lift(a, i))
+    return _lincomb(parts)
+
+
+def _cancels(parts: dict) -> bool:
+    """Every term key of the streamed parts sums to 0."""
     return all(_lincomb(p).is_zero() for p in parts.values())
 
 
@@ -92,8 +104,9 @@ class CechConnectionData:
     hold what ``verify``, the glue and the bundle checks read: the triple
     sums (``triple_sum``) and, per unordered pair, whether antisymmetry
     holds.  Each is built on first use from this instance's own transitions
-    and kept; nothing here can change, so no entry goes stale, and the
-    tables die with the instance.
+    and kept (``verify`` keeps T(0) for a triple it telescopes); nothing
+    here can change, so no entry goes stale, and the tables die with the
+    instance.
     """
 
     __slots__ = (
@@ -161,6 +174,8 @@ class CechConnectionData:
         """phi_ij + phi_jk + phi_ki in the frame anchored at chart i."""
         total = self._sums.get((i, j, k))
         if total is None:
+            for a, b in ((i, j), (j, k), (k, i)):
+                self.transition(a, b)  # a KeyError names a pair off the nerve
             total = self._sums[(i, j, k)] = _triple_sum(self.cover, self.transitions, i, j, k)
         return total
 
@@ -176,10 +191,11 @@ class CechConnectionData:
             table = {}
             for (i, j), phi in self.transitions.items():
                 if _pair(i, j) not in table:
-                    reverse = self.transitions.get((j, i))
-                    table[_pair(i, j)] = reverse is not None and _vanishes(
-                        (1, reverse), (1, phi.shift(self.cover.frame_shift(j, i)))
-                    )
+                    reverse, parts = self.transitions.get((j, i)), {}
+                    if reverse is not None:  # frame_shift(j, i) is pair_lift(i, j)
+                        _shift_into(parts, reverse, (0,) * self.torus.dim, 1)
+                        _shift_into(parts, phi, self.cover.pair_lift(i, j), 1)
+                    table[_pair(i, j)] = reverse is not None and _cancels(parts)
             object.__setattr__(self, "_antisymmetric", table)
         return self._antisymmetric
 
@@ -194,8 +210,7 @@ class CechConnectionData:
         (i, j) does (module docstring), so the law is decided for the first
         direction met and its verdict reported for both; elsewhere each
         direction is decided on its own."""
-        names = self.torus.names
-        zero = ChartFunction.zero(self.torus.space)
+        origin = (0,) * self.torus.dim
         terms = {i: form.terms for i, form in forms.items()}
         antisymmetric = self._antisymmetric_pairs()
         decided: dict[tuple[int, int], bool] = {}
@@ -207,17 +222,15 @@ class CechConnectionData:
             pair = _pair(i, j)
             fails = decided.get(pair) if antisymmetric[pair] else None
             if fails is None:
-                here, there = terms[i], terms[j]
-                dphi = {(a,): phi.derive(name) for a, name in enumerate(names)}
-                delta = self.cover.frame_shift(i, j)
-                fails = decided[pair] = not all(
-                    _vanishes(
-                        (1, here.get(idx, zero)),
-                        (-1, there[idx].shift(delta) if idx in there else zero),
-                        (-1, dphi.get(idx, zero)),
-                    )
-                    for idx in here.keys() | there.keys() | dphi.keys()
-                )
+                # parts per covector index; pair_lift(j, i) is frame_shift(i, j)
+                delta, parts = self.cover.pair_lift(j, i), {}
+                for idx, f in terms[i].items():
+                    _shift_into(parts.setdefault(idx, {}), f, origin, 1)
+                for idx, f in terms[j].items():
+                    _shift_into(parts.setdefault(idx, {}), f, delta, -1)
+                for a in range(len(origin)):
+                    _derive_into(parts.setdefault((a,), {}), phi, a, -1)
+                fails = decided[pair] = not all(map(_cancels, parts.values()))
             if fails:
                 failures.append((i, j))
         return failures
@@ -232,7 +245,8 @@ class CechConnectionData:
         """Every identity of every chart, pair and triple; antisymmetry and
         the overlap law are decided once per unordered pair where the
         pair-once rule of the module docstring allows, and each verdict is
-        reported for both directions, in the order of ``transitions``."""
+        reported for both directions, in the order of ``transitions``; a
+        triple is telescoped where the module docstring allows."""
         charts = range(len(self.cover.charts))
         failures = [
             {"identity": "primitive", "chart": i, "missing": True}
@@ -250,16 +264,16 @@ class CechConnectionData:
             for i, alpha in self.alphas.items()
             if alpha.exterior_d() != self.omega
         )
-        failures += (
-            {"identity": "overlap", "pair": pair} for pair in self.overlap_failures(self.alphas)
-        )
+        overlaps = self.overlap_failures(self.alphas)
+        failures += ({"identity": "overlap", "pair": pair} for pair in overlaps)
         antisymmetric = self._antisymmetric_pairs()
         failures += (
             {"identity": "antisymmetry", "pair": (i, j), "missing": (j, i) not in self.transitions}
             for i, j in self.transitions
             if not antisymmetric[_pair(i, j)]
         )
-        nerve = self.cover.triples
+        nerve, space, failed = self.cover.triples, self.torus.space, set(overlaps)
+        origin = ((0,) * self.torus.dim,) * 2  # the key of the constant term
         failures += (
             {"identity": "triple", "triple": t, "extra": True}
             for t in self.triple_constants
@@ -270,7 +284,11 @@ class CechConnectionData:
             if const is None:
                 failures.append({"identity": "triple", "triple": (i, j, k), "missing": True})
             elif {(i, j), (j, k), (k, i)} <= self.transitions.keys():  # else reported missing
-                total = self.triple_sum(i, j, k)
+                if failed.isdisjoint(((i, j), (j, k), (k, i))):  # telescoping: T = T(0)
+                    value = _sum_at_origin(self.cover, self.transitions, i, j, k)
+                    total = self._sums[(i, j, k)] = _chartfn(space, {origin: value})
+                else:
+                    total = self.triple_sum(i, j, k)
                 if not (total.is_constant() and total.constant_value() == const):
                     found = {"sum": str(total), "stored": str(const)}
                     failures.append({"identity": "triple", "triple": (i, j, k), **found})
@@ -334,15 +352,12 @@ def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:
         transitions[(i, j)] = _chartfn(space, {y_key: dx, origin: c_ij})
         transitions[(j, i)] = _chartfn(space, {y_key: -dx, origin: c_ji})
 
-    sums = {triple: _triple_sum(cover, transitions, *triple) for triple in cover.triples}
-    zero = Scalar.zero()
     consts: dict[tuple[int, int, int], Scalar] = {}
-    for triple, total in sums.items():
-        c = total._terms.get(origin)  # theta is real, so c is too
-        consts[triple] = zero if c is None else _new(Scalar, c._den, c._num)
+    for triple in cover.triples:
+        c = _sum_at_origin(cover, transitions, *triple)  # theta is real, so c is too
+        consts[triple] = _new(Scalar, c._den, c._num)
 
     data = CechConnectionData(cover, omega, alphas, transitions, consts)
-    data._sums.update(sums)  # built from the same transitions the datum holds
     report = data.verify()
     if not report.passed:  # construction is supposed to be exact
         raise AssertionError(f"descent solution failed verification: {report.failures}")

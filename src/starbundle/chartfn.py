@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from operator import add, index
+from math import comb, lcm, prod
+from operator import add, index, mul
 from typing import Mapping, Sequence, Union
 
-from .scalar import CScalar, Scalar, _new, _reduce
+from .scalar import CScalar, Scalar, _reduce
 
 CoeffLike = Union[CScalar, Scalar, int, Fraction]
 
@@ -103,6 +103,58 @@ def _lincomb(parts) -> CScalar:
             p = out.get(m)
             out[m] = (a * s, b * s) if p is None else (p[0] + a * s, p[1] + b * s)
     return _reduce(CScalar, den, out)
+
+
+def _shift_into(parts: dict, f: "ChartFunction", dvec, sign: int) -> None:
+    """Append to ``parts`` the ``_lincomb`` parts (den, num, w, t) of
+    sign * f(u + dvec) by output term, dvec an int or a Fraction per axis:
+    monomials expand binomially, and a Fourier mode k picks up the phase
+    exp(2*pi*i*k.dvec), which must be a power of i (1 on an integer dvec)."""
+    if not any(dvec):
+        for key, c in f._terms.items():
+            parts.setdefault(key, []).append((c._den, c._num, sign, 0))
+        return
+    for (mon, freq), c in f._terms.items():
+        turns = 0
+        if any(freq):
+            arg = sum(k * d for k, d in zip(freq, dvec) if k)
+            turns = _quarter_turns(arg.numerator, arg.denominator)
+        # expand prod (u_i + d_i)^{e_i}; every weight w is nonzero
+        keys: list[tuple[tuple[int, ...], int | Fraction]] = [((), sign)]
+        for e, d in zip(mon, dvec):
+            if not d:
+                keys = [(prefix + (e,), w) for prefix, w in keys]
+                continue
+            keys = [
+                (prefix + (r,), w * comb(e, r) * d ** (e - r))
+                for prefix, w in keys
+                for r in range(e + 1)
+            ]
+        for mon2, w in keys:
+            part = (c._den * w.denominator, c._num, w.numerator, turns)
+            parts.setdefault((mon2, freq), []).append(part)
+
+
+def _value_into(parts: list, f: "ChartFunction", nvec, den: int = 1) -> None:
+    """Append to ``parts`` the ``_lincomb`` parts of f at nvec/den, nvec ints:
+    c n^e / den^|e| turned by exp(2*pi*i*k.n/den), which must be a power of i."""
+    for (mon, freq), c in f._terms.items():
+        w = prod(map(pow, nvec, mon))
+        if w:
+            turns = _quarter_turns(sum(map(mul, freq, nvec)), den) if any(freq) else 0
+            parts.append((c._den * den ** sum(mon), c._num, w, turns))
+
+
+def _derive_into(parts: dict, f: "ChartFunction", i: int, sign: int) -> None:
+    """Append to ``parts`` the ``_lincomb`` parts of sign * df/du_i, keyed by
+    output term; a Fourier mode's 2*pi*i*k is one pi power and one turn."""
+    for (mon, freq), c in f._terms.items():
+        if mon[i]:
+            dm = mon[:i] + (mon[i] - 1,) + mon[i + 1:]
+            parts.setdefault((dm, freq), []).append((c._den, c._num, sign * mon[i], 0))
+        if freq[i]:
+            num = {m + 1: p for m, p in c._num.items()}
+            parts.setdefault((mon, freq), []).append((c._den, num, sign * 2 * freq[i], 1))
 
 
 def _chartfn(space: ChartSpace, terms: dict) -> "ChartFunction":
@@ -345,22 +397,11 @@ class ChartFunction:
     # -- calculus ------------------------------------------------------------
 
     def derive(self, name: str) -> "ChartFunction":
-        """Exact partial derivative; Fourier modes pick up 2*pi*i*k."""
-        i = self.space.index(name)
-        out: dict[tuple[tuple[int, ...], tuple[int, ...]], CScalar] = {}
-
-        def put(key, c):
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-
-        for (mon, freq), c in self._terms.items():
-            if mon[i] > 0:
-                dm = list(mon)
-                dm[i] -= 1
-                put((tuple(dm), freq), c * _new(CScalar, 1, {0: (mon[i], 0)}))
-            if freq[i] != 0:
-                put((mon, freq), c * _new(CScalar, 1, {1: (0, 2 * freq[i])}))
-        return _chartfn(self.space, out)
+        """Exact partial derivative, one ``_lincomb`` per output key over the
+        parts of ``_derive_into``; Fourier modes pick up 2*pi*i*k."""
+        parts: dict = {}
+        _derive_into(parts, self, self.space.index(name), 1)
+        return _chartfn(self.space, {key: _lincomb(p) for key, p in parts.items()})
 
     def torus_mean(self) -> CScalar:
         """Mean over the torus (unit volume).  Requires a global function."""
@@ -409,38 +450,15 @@ class ChartFunction:
 
         Each delta is an int or a Fraction (TypeError otherwise), and a key
         that is not a coordinate raises KeyError; a zero delta returns f.
-        Monomials expand binomially and Fourier modes pick up the exact unit
-        phase exp(2*pi*i*k*delta), so k*delta must be quarter-integral.  When
-        every delta is an integer, as for the frame translations of this
-        package (integer lattice vectors), the binomial weights are integers
-        that scale the coefficient numerators directly, every phase is 1 and
-        no Fraction is formed.  Each output coefficient is reduced once.
+        One ``_lincomb`` per output key sums the parts of ``_shift_into``.
         """
         dvec = [0] * self.space.dim
         for name, d in delta.items():
             dvec[self.space.index(name)] = _exact(name, d)
         if not any(dvec):
             return self
-        parts: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
-        for (mon, freq), c in self._terms.items():
-            turns = 0
-            if any(freq):
-                arg = sum(k * d for k, d in zip(freq, dvec) if k)
-                turns = _quarter_turns(arg.numerator, arg.denominator)
-            # expand prod (u_i + d_i)^{e_i}; every weight w is nonzero
-            keys: list[tuple[tuple[int, ...], int | Fraction]] = [((), 1)]
-            for e, d in zip(mon, dvec):
-                if not d:
-                    keys = [(prefix + (e,), w) for prefix, w in keys]
-                    continue
-                keys = [
-                    (prefix + (r,), w * comb(e, r) * d ** (e - r))
-                    for prefix, w in keys
-                    for r in range(e + 1)
-                ]
-            for mon2, w in keys:
-                part = (c._den * w.denominator, c._num, w.numerator, turns)
-                parts.setdefault((mon2, freq), []).append(part)
+        parts: dict = {}
+        _shift_into(parts, self, dvec, 1)
         return _chartfn(self.space, {key: _lincomb(p) for key, p in parts.items()})
 
     def evaluate(self, point: Mapping[str, Fraction]) -> CScalar:
@@ -448,10 +466,7 @@ class ChartFunction:
 
         Every coordinate must be given, as an int or a Fraction: a missing
         or unknown coordinate raises KeyError, any other value TypeError.
-        The point is written as integers n over one denominator D; a term
-        contributes its coefficient times the integer n^e over D^|e|, turned
-        by i**t where exp(2*pi*i*k.n/D) = i**t (ValueError when k.n/D is not
-        quarter-integral), and the sum is reduced once.
+        The terms' parts at the point over one denominator are reduced once.
         """
         names = self.space.names
         for name in point:
@@ -461,20 +476,8 @@ class ChartFunction:
         except KeyError as err:
             raise KeyError(f"point has no coordinate {err.args[0]!r} of chart {names}") from None
         den = lcm(*(x.denominator for x in coords))
-        nvec = [x.numerator * (den // x.denominator) for x in coords]
-        parts = []
-        for (mon, freq), c in self._terms.items():
-            w, degree = 1, 0
-            for e, x in zip(mon, nvec):
-                if e:
-                    w *= x**e
-                    degree += e
-            if not w:
-                continue
-            turns = 0
-            if any(freq):
-                turns = _quarter_turns(sum(k * x for k, x in zip(freq, nvec) if k), den)
-            parts.append((c._den * den**degree, c._num, w, turns))
+        parts: list = []
+        _value_into(parts, self, [x.numerator * (den // x.denominator) for x in coords], den)
         return _lincomb(parts)
 
     # -- rendering ---------------------------------------------------------

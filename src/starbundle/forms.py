@@ -8,6 +8,7 @@ degrees are allowed (characteristic classes are inhomogeneous).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Mapping, Sequence
 
 from .chartfn import ChartFunction, CoeffLike
@@ -49,7 +50,11 @@ class DifferentialForm:
         clean: dict[tuple[int, ...], ChartFunction] = {}
         if terms:
             for idx, coeff in terms.items():
-                sorted_idx, sign = _sort_with_sign(tuple(int(i) for i in idx))
+                try:
+                    ints = tuple(map(index, idx))
+                except TypeError:
+                    raise TypeError(f"covector index {idx!r} needs int entries") from None
+                sorted_idx, sign = _sort_with_sign(ints)
                 if sign == 0:
                     continue
                 if any(i < 0 or i >= ncov for i in sorted_idx):

@@ -86,33 +86,37 @@ def _mul(x, y):
     return _reduce(type(x), x._den * y._den, out)
 
 
+def _binary(kernel):
+    """The operator ``kernel(self, other)``, other coerced by the class's own
+    ``coerce``; an operand that coerce refuses gives NotImplemented, so that
+    the other operand's reflected operator decides (a CScalar, a function)."""
+
+    def operator(self, other):
+        if type(other) is not type(self):
+            try:
+                other = self.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return kernel(self, other)
+
+    return operator
+
+
 class _Exact:
-    """Storage and ring operators shared by Scalar and CScalar; each
-    operator coerces its other operand with the class's own ``coerce``."""
+    """Storage and ring operators shared by Scalar and CScalar."""
 
     __slots__ = ("_den", "_num")
 
     def is_zero(self) -> bool:
         return not self._num
 
-    def __add__(self, other):
-        if type(other) is not type(self):
-            other = self.coerce(other)
-        return _add(self, other)
-
-    def __mul__(self, other):
-        if type(other) is not type(self):
-            other = self.coerce(other)
-        return _mul(self, other)
-
     def __neg__(self):
         return _new(type(self), self._den, {m: (-a, -b) for m, (a, b) in self._num.items()})
 
-    def __sub__(self, other):
-        return self + (-self.coerce(other))
-
-    def __rsub__(self, other):
-        return self.coerce(other) + (-self)
+    __add__ = _binary(_add)
+    __mul__ = _binary(_mul)
+    __sub__ = _binary(lambda x, y: _add(x, -y))
+    __rsub__ = _binary(lambda x, y: _add(y, -x))
 
     def __eq__(self, other: object) -> bool:
         try:

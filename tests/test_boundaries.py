@@ -384,6 +384,24 @@ CASES = [
         "charts 0 and 99 do not overlap",
     ),
     (
+        "cech-triple-sum-off-nerve",
+        lambda: edit_datum().triple_sum(0, 1, 99),
+        KeyError,
+        "charts 1 and 99 do not overlap",
+    ),
+    (
+        "form-float-covector-index",
+        lambda: DifferentialForm(T2, {(1.7,): ChartFunction.one(T2.space)}),
+        TypeError,
+        "covector index (1.7,) needs int entries",
+    ),
+    (
+        "scalar-plus-float",
+        lambda: Scalar.pi() + 1.5,
+        TypeError,
+        "unsupported operand type(s) for +: 'Scalar' and 'float'",
+    ),
+    (
         "cech-transition-missing",
         lambda: edit_datum(transitions=[(0, 1)]).transition(0, 1),
         KeyError,

@@ -9,6 +9,21 @@ src/starbundle; any other name, attribute or imported name marks every
 definition of that name.  Reachability is iterated to a fixpoint, so a
 function that only unreachable functions call is flagged too.  Dunders are
 not checked.
+
+The scan resolves names, not receivers, so a method that shares its name
+with a live method of another class passes it unseen.  A call profile finds
+those.  Profile the test suite and one smoke run of each workload, traced
+and untraced (``bench/check_bench.py`` runs the same smoke runs in
+subprocesses, which a profile of pytest does not see):
+
+    PYTHONPATH=src python -m cProfile -o t1.prof -m pytest -q tests
+    python -m cProfile -o t2-0.prof bench/run.py --workload t2-pipeline \\
+        --seed 5 --seconds 0 --trace 0 --smoke    # and so on, per workload
+
+Then list every ``def`` under src/starbundle whose (file, line) no
+profile's ``pstats.Stats(path).stats`` key names; a decorated def is keyed
+by its first decorator's line.  Grep each name left in src, tests and
+bench: one with no caller there is dead.
 """
 
 import ast

@@ -1,6 +1,7 @@
 """The triple sums of a Cech datum are built once each, equal a fresh
-computation, and die with the datum; the overlap law builds no form from a
-transition; the triple law reads the sums and evaluates no point."""
+computation, and die with the datum; a passing datum builds none in full,
+its triples being decided by telescoping; the overlap law builds no form
+from a transition; the triple law reads the sums and evaluates no point."""
 
 import gc
 import weakref
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from starbundle import cech
+from starbundle import cech, chartfn
 from starbundle.bundle import LocalLineBundle, build_local_line_bundle
 from starbundle.chartfn import ChartFunction
 from starbundle.cech import CechConnectionData, constant_two_form, solve_cech
@@ -49,7 +50,7 @@ def test_tables_equal_fresh_computation(theta):
         assert data.triple_sum(*triple) == cech._triple_sum(data.cover, data.transitions, *triple)
 
 
-def test_one_op_builds_each_quantity_once(monkeypatch):
+def _count_triple_sums(monkeypatch) -> Counter:
     sums = Counter()
     real_sum = cech._triple_sum
 
@@ -57,20 +58,71 @@ def test_one_op_builds_each_quantity_once(monkeypatch):
         sums[(i, j, k)] += 1
         return real_sum(cover, transitions, i, j, k)
 
-    arguments = []
-    real_from_function = DifferentialForm.from_function
+    monkeypatch.setattr(cech, "_triple_sum", counted_sum)
+    return sums
+
+
+def test_one_op_builds_each_quantity_once(monkeypatch):
+    """A passing op decides every triple by telescoping and builds no triple
+    sum in full; the table still holds one (constant) sum per triple.  The
+    identities stream their translated terms, so no ChartFunction.shift runs
+    (the parent's solve and verify made 144)."""
+    sums = _count_triple_sums(monkeypatch)
+    arguments, shifted = [], []
+    real_from_function, real_shift = DifferentialForm.from_function, ChartFunction.shift
 
     def counted_from_function(manifold, f):
         arguments.append(f)
         return real_from_function(manifold, f)
 
-    monkeypatch.setattr(cech, "_triple_sum", counted_sum)
+    def counted_shift(f, delta):
+        shifted.append(f)
+        return real_shift(f, delta)
+
     monkeypatch.setattr(DifferentialForm, "from_function", staticmethod(counted_from_function))
+    monkeypatch.setattr(ChartFunction, "shift", counted_shift)
     data = pipeline_op(Scalar.pi(1, Fraction(2, 5)))
-    assert sums == Counter({triple: 1 for triple in data.cover.triples})
+    assert sums == Counter() and shifted == []
+    assert data._sums.keys() == set(data.cover.triples)
+    assert all(total.is_constant() for total in data._sums.values())
     # the overlap law reads partial derivatives of each phi_ij, not a form
     for key, phi in data.transitions.items():
         assert not any(f is phi for f in arguments), key
+
+
+def test_tampered_pair_builds_the_sums_that_touch_it(monkeypatch):
+    """phi_01 + y fails the overlap law on (0, 1) alone: each triple through
+    that pair is built in full once, and no other triple is."""
+    sums = _count_triple_sums(monkeypatch)
+    data = _edited(transitions=_phi01_plus_y)
+    assert not data.verify().passed
+    touching = [t for t in data.cover.triples if {0, 1} <= set(t)]
+    assert touching and sums == Counter({t: 1 for t in touching})
+
+
+THETAS = [
+    Scalar.pi(1, 2), Scalar.pi(1, -2), Scalar.pi(1, Fraction(1, 3)),
+    Scalar.rational(Fraction(3, 7)), Scalar.zero(), Scalar({1: Fraction(5, 7), 0: Fraction(-1, 2)}),
+    Scalar.pi(-1, Fraction(4, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "n, halfwidth", [(n, w) for n in range(3, 7) for w in (None, Fraction(9, 40))]
+)
+def test_telescoped_triple_equals_full_sum(n, halfwidth):
+    """Every sum ``verify`` keeps as the constant T(0) equals the triple sum
+    built in full, coefficient by coefficient and by hash."""
+    cover = GoodCover.grid(T2, n, halfwidth)
+    for theta in THETAS:
+        data = solve_cech(constant_two_form(T2, theta), cover)
+        assert data._sums.keys() == set(cover.triples)
+        for triple, kept in data._sums.items():
+            full = cech._triple_sum(cover, data.transitions, *triple)
+            assert kept == full and hash(kept) == hash(full)
+            assert {k: (c._den, c._num) for k, c in kept._terms.items()} == {
+                k: (c._den, c._num) for k, c in full._terms.items()
+            }
 
 
 def test_triple_law_evaluates_no_point(monkeypatch):
@@ -200,8 +252,23 @@ def _phi01_plus_y_antisymmetric(phis, cover):
     phis[(1, 0)] = (-phis[(0, 1)]).shift(cover.frame_shift(1, 0))
 
 
-def _phi01_plus_y(phis, cover):
-    phis[(0, 1)] = phis[(0, 1)] + Y
+def _plus_y(pair):
+    def edit(phis, cover):
+        phis[pair] = phis[pair] + Y
+
+    return edit
+
+
+_phi01_plus_y = _plus_y((0, 1))
+
+
+def _phi01_plus_minus_constant(phis, cover):
+    phis[(0, 1)] = phis[(0, 1)] + Fraction(2, 9)
+    phis[(1, 0)] = phis[(1, 0)] - Fraction(2, 9)
+
+
+def _phi01_plus_cos(phis, cover):
+    phis[(0, 1)] = phis[(0, 1)] + ChartFunction.cosine(T2.space, "x")
 
 
 def _drop_phi10(phis, cover):
@@ -220,6 +287,15 @@ PARITY_ROWS = {
     # not antisymmetric: overlap (1, 0) still holds and is decided on its own
     "phi01+y": (lambda: _edited(transitions=_phi01_plus_y), {"overlap", "antisymmetry", "triple"}),
     "phi10-deleted": (lambda: _edited(transitions=_drop_phi10), {"transition", "antisymmetry"}),
+    # overlap and antisymmetry hold, so every triple through (0, 1) is
+    # decided by telescoping and fails on its constant alone
+    "phi01+-2/9": (lambda: _edited(transitions=_phi01_plus_minus_constant), {"triple"}),
+    # nonconstant in one direction: the triples through (0, 1) get full sums
+    "phi01+cos": (lambda: _edited(transitions=_phi01_plus_cos), {"overlap", "antisymmetry", "triple"}),
+    # (1, 3) is the pair (j, k) of the triple (0, 1, 3); (6, 0) is the pair
+    # (k, i) of (0, 1, 6) and (0, 2, 6)
+    "phi13+y": (lambda: _edited(transitions=_plus_y((1, 3))), {"overlap", "antisymmetry", "triple"}),
+    "phi60+y": (lambda: _edited(transitions=_plus_y((6, 0))), {"overlap", "antisymmetry", "triple"}),
 }
 
 
@@ -235,24 +311,33 @@ def test_verify_witnesses_match_directed_reference(row):
         assert overlaps == [(0, 1), (1, 0)]
     if row == "phi01+y":
         assert overlaps == [(0, 1)]
+    triples = [w for w in failures if w["identity"] == "triple"]
+    if row == "phi01+-2/9":
+        assert triples and all("x" not in w["sum"] and "y" not in w["sum"] for w in triples)
+    if row == "phi01+cos":
+        assert triples and all("e(1x)" in w["sum"] for w in triples)
 
 
 def test_verify_derives_each_transition_pair_once(monkeypatch):
-    """Pair-once rule: on a solved datum the overlap law takes the two
-    partial derivatives of one transition per nerve pair (72, where
-    deciding each direction takes 144); the curl of each of the 9
-    primitives takes two more."""
+    """Pair-once rule: on a solved datum the overlap law streams the parts
+    of the two partial derivatives of one transition per nerve pair (72,
+    where deciding each direction takes 144); the curl of each of the 9
+    primitives takes two more, through ``ChartFunction.derive``."""
     solved = solve_cech(constant_two_form(T2, Scalar.pi(1, Fraction(1, 3))), GoodCover.grid(T2, 3))
     data = CechConnectionData(
         solved.cover, solved.omega, solved.alphas, solved.transitions, solved.triple_constants
     )
-    calls = []
-    real_derive = ChartFunction.derive
+    derived = []
+    real_derive_into = chartfn._derive_into
 
-    def counted_derive(f, name):
-        calls.append(name)
-        return real_derive(f, name)
+    def counted_derive_into(parts, f, i, sign):
+        derived.append(f)
+        return real_derive_into(parts, f, i, sign)
 
-    monkeypatch.setattr(ChartFunction, "derive", counted_derive)
+    monkeypatch.setattr(cech, "_derive_into", counted_derive_into)
+    monkeypatch.setattr(chartfn, "_derive_into", counted_derive_into)
     assert data.verify().passed
-    assert len(calls) == 2 * len(data.cover.pairs) + 2 * len(data.cover.charts) == 72 + 18
+    assert len(derived) == 2 * len(data.cover.pairs) + 2 * len(data.cover.charts) == 72 + 18
+    pair_of = {id(phi): tuple(sorted(key)) for key, phi in data.transitions.items()}
+    per_pair = Counter(pair_of[id(f)] for f in derived if id(f) in pair_of)
+    assert per_pair == Counter({pair: 2 for pair in data.cover.pairs})

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from starbundle.chartfn import ChartFunction
+from starbundle.manifold import Torus
 from starbundle.scalar import CScalar, Scalar, _cs, parse_scalar
 
 from conftest import random_scalar
@@ -102,6 +104,21 @@ def test_cscalar_arithmetic():
     assert z.conj().conj() == z
     assert z.times_i() == z * i
     assert (z * z.conj()).is_real()
+
+
+def test_operators_defer_to_the_other_operand():
+    """An operand ``coerce`` refuses yields NotImplemented, so the other
+    operand's reflected operator answers; a float still raises."""
+    z = ChartFunction.fourier(Torus(1).space, {"x": 1})
+    assert CScalar(1) + z == z + CScalar(1)
+    assert CScalar(1) - z == -(z - CScalar(1))
+    assert Scalar.pi() * z == z * Scalar.pi()
+    assert Scalar.coerce(1) + CScalar(0, 1) == CScalar(0, 1) + Scalar.coerce(1) == CScalar(1, 1)
+    assert Scalar.coerce(1) - CScalar(0, 1) == -(CScalar(0, 1) - Scalar.coerce(1))
+    assert Scalar.pi() * CScalar.i() == CScalar.i() * Scalar.pi() == CScalar(0, Scalar.pi())
+    for op in ("__add__", "__mul__", "__sub__", "__rsub__"):
+        assert getattr(Scalar.one(), op)(1.5) is NotImplemented
+        assert getattr(CScalar.one(), op)(z) is NotImplemented
 
 
 def test_equal_scalars_hash_alike():
