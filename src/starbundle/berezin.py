@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import index
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .scalar import CScalar, Scalar, _cs
+from .series import _check_order
 
 
 class AdmissibilityError(ValueError):
@@ -56,8 +58,11 @@ class CP1Function:
 
     def __init__(self, terms: Mapping[tuple[int, int, int], CScalar]):
         clean: dict[tuple[int, int, int], CScalar] = {}
-        for (p, q, c), coeff in terms.items():
-            p, q, c = int(p), int(q), int(c)
+        for key, coeff in terms.items():
+            try:
+                p, q, c = map(index, key)
+            except TypeError:
+                raise TypeError(f"term {key!r} needs int exponents") from None
             coeff = CScalar.coerce(coeff)
             if not (coeff.re.is_rational() and coeff.im.is_rational()):
                 raise AdmissibilityError("coefficients must be rational")
@@ -245,6 +250,7 @@ class BerezinMatrix:
     """Compression of multiplication by f at level k, monomial basis."""
 
     def __init__(self, symbol: CP1Function, k: int):
+        _check_order(k, "level k")
         if k < symbol.max_c():
             raise AdmissibilityError(
                 f"level k={k} is below the symbol's denominator degree {symbol.max_c()}"
@@ -298,7 +304,7 @@ def commutator_decay(f: CP1Function, g: CP1Function, k_values: Sequence[int]) ->
     if not f.is_real() or not g.is_real():
         raise AdmissibilityError("decay sweep expects real symbols")
     bracket = poisson_bracket_cp1(f, g)
-    k_values = sorted(set(int(k) for k in k_values))
+    k_values = sorted({_check_order(k, "level k") for k in k_values})
     if any(k < max(f.max_c(), g.max_c(), bracket.max_c(), 1) for k in k_values):
         raise AdmissibilityError("levels too low for the symbol denominators")
     norms_by_sign = {1: [], -1: []}

@@ -17,9 +17,12 @@ transitions of a nerve pair are the affine functions
 the second being (-phi_ij).shift(frame_shift(j, i)).  ``solve_cech`` writes
 every coefficient as theta times one rational number, with the centres read
 in the cover's integer units of 1/den (``GoodCover.lattice``) and no
-function arithmetic, and reads each triple constant as T(0) (telescoping,
-below).  It trusts none of this: it runs the full ``verify`` on what it
-built.  ``verify`` adds translated and differentiated terms straight into
+function arithmetic.  It keeps each directed pair's integers (DX, C), with
+phi_ab = theta (DX y + C)/den, and writes each triple constant from them as
+T(0) (telescoping, below): theta/den times the sum of DX_ab L(a, i)_y + C_ab
+over the triple's three pairs, L = pair_lift, one ``_times`` per triple.
+It trusts none of this: it runs the full ``verify`` on what it built.
+``verify`` adds translated and differentiated terms straight into
 one integer ``_lincomb`` sum per identity and term key (``_shift_into``,
 ``_derive_into``), reading frame_shift(i, j) as the int vector
 pair_lift(j, i); it builds no shifted or derived function.
@@ -51,12 +54,12 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .chartfn import ChartFunction, _chartfn, _derive_into, _lincomb, _shift_into, _value_into
+from .chartfn import ChartFunction, _chartfn, _derive_into, _shift_into, _value_into
 from .cover import GoodCover
 from .forms import DifferentialForm
 from .manifold import Torus
 from .report import CheckReport
-from .scalar import CScalar, Scalar, _new, _reduce
+from .scalar import CScalar, Scalar, _lincomb, _reduce, _scaled
 
 
 class CechError(ValueError):
@@ -298,7 +301,7 @@ class CechConnectionData:
 
 def _times(theta: Scalar, num: int, den: int) -> CScalar:
     """theta * num/den, canonical, for integers num and den > 0."""
-    return _reduce(CScalar, theta._den * den, {m: (a * num, 0) for m, (a, _) in theta._num.items()})
+    return _reduce(CScalar, theta._den * den, _scaled(theta._num, num))
 
 
 def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:
@@ -343,19 +346,24 @@ def solve_cech(omega: DifferentialForm, cover: GoodCover) -> CechConnectionData:
         )
         for i, a_i in enumerate(a)
     }
-    transitions: dict[tuple[int, int], ChartFunction] = {}
+    lines: dict[tuple[int, int], tuple[int, int]] = {}  # phi_ab = theta (dx y + c)/den
     for i, j in cover.pairs:
         n_x, n_y = cover.pair_lift(i, j)
         lifted = a[j] + n_x * den  # a_j + n_x
-        dx = _times(theta, lifted - a[i], den)
-        c_ij, c_ji = _times(theta, -lifted * n_y, den), _times(theta, a[i] * n_y, den)
-        transitions[(i, j)] = _chartfn(space, {y_key: dx, origin: c_ij})
-        transitions[(j, i)] = _chartfn(space, {y_key: -dx, origin: c_ji})
+        lines[(i, j)] = (lifted - a[i], -lifted * n_y)
+        lines[(j, i)] = (a[i] - lifted, a[i] * n_y)
+    transitions = {
+        pair: _chartfn(space, {y_key: _times(theta, dx, den), origin: _times(theta, c, den)})
+        for pair, (dx, c) in lines.items()
+    }
 
     consts: dict[tuple[int, int, int], Scalar] = {}
-    for triple in cover.triples:
-        c = _sum_at_origin(cover, transitions, *triple)  # theta is real, so c is too
-        consts[triple] = _new(Scalar, c._den, c._num)
+    for i, j, k in cover.triples:  # T(0): each phi_ab read at y = pair_lift(a, i)_y
+        total = 0
+        for pair in ((i, j), (j, k), (k, i)):
+            dx, c = lines[pair]
+            total += dx * cover.pair_lift(pair[0], i)[1] + c
+        consts[(i, j, k)] = _times(theta, total, den).re
 
     data = CechConnectionData(cover, omega, alphas, transitions, consts)
     report = data.verify()

@@ -23,7 +23,7 @@ from math import comb, lcm, prod
 from operator import add, index, mul
 from typing import Mapping, Sequence, Union
 
-from .scalar import CScalar, Scalar, _reduce
+from .scalar import CScalar, Scalar, _lincomb
 
 CoeffLike = Union[CScalar, Scalar, int, Fraction]
 
@@ -88,21 +88,6 @@ def _exact(name: str, v) -> int | Fraction:
     if isinstance(v, (int, Fraction)):
         return v.numerator if v.denominator == 1 else v
     raise TypeError(f"coordinate {name!r} takes an int or a Fraction, not {type(v).__name__}")
-
-
-def _lincomb(parts) -> CScalar:
-    """The sum of w * i**t * (num over den) over ``parts`` (den, num, w, t)
-    with integer w: one lcm, integer numerators, one ``_reduce``."""
-    den = lcm(*(part[0] for part in parts))
-    out: dict[int, tuple[int, int]] = {}
-    for d, num, w, t in parts:
-        s = w * (den // d)
-        for m, (a, b) in num.items():
-            for _ in range(t):  # times i
-                a, b = -b, a
-            p = out.get(m)
-            out[m] = (a * s, b * s) if p is None else (p[0] + a * s, p[1] + b * s)
-    return _reduce(CScalar, den, out)
 
 
 def _shift_into(parts: dict, f: "ChartFunction", dvec, sign: int) -> None:

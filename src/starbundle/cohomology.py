@@ -4,7 +4,7 @@ and exponential twists, all with exact Laurent-pi coefficients."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Iterable
 
 from .forms import DifferentialForm
@@ -114,25 +114,25 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
 
 def todd_series_coefficients(order: int) -> list[Fraction]:
     """Taylor coefficients of x / (1 - e^{-x}) up to x^order."""
-    from math import factorial
-
     bern = bernoulli_numbers(order)
     return [Fraction((-1) ** n) * bern[n] / factorial(n) for n in range(order + 1)]
 
 
+def _power_series(x: DifferentialForm, coeffs: list[Fraction]) -> CohomologyClass:
+    """sum_k coeffs[k] * x^k, the powers wedged one at a time."""
+    total = DifferentialForm.zero(x.manifold)
+    power = DifferentialForm.constant(x.manifold, 1)
+    for c in coeffs:
+        total = total + power.scale(Scalar.rational(c))
+        power = power.wedge(x)
+    return CohomologyClass(x.manifold, (total,))
+
+
 def todd_of_line(c1: DifferentialForm) -> CohomologyClass:
     """Td of a line bundle with first Chern form c1, truncated at dim."""
-    manifold = c1.manifold
     if not c1.is_closed():
         raise ValueError("first Chern representative must be closed")
-    max_power = manifold.dim // 2
-    coeffs = todd_series_coefficients(max_power)
-    total = DifferentialForm.zero(manifold)
-    power = DifferentialForm.constant(manifold, 1)
-    for k in range(max_power + 1):
-        total = total + power.scale(Scalar.rational(coeffs[k]))
-        power = power.wedge(c1)
-    return CohomologyClass(manifold, (total,))
+    return _power_series(c1, todd_series_coefficients(c1.manifold.dim // 2))
 
 
 def todd_class(manifold: Manifold) -> CohomologyClass:
@@ -155,17 +155,9 @@ def todd_class(manifold: Manifold) -> CohomologyClass:
 
 def exp_twist(omega: DifferentialForm) -> CohomologyClass:
     """exp(omega / 2*pi) = sum_k (omega/2*pi)^k / k!, truncated at dim."""
-    from math import factorial
-
-    manifold = omega.manifold
     if not omega.is_closed():
         raise ValueError("twisting form must be closed")
     if any(len(idx) != 2 for idx in omega.terms):
         raise ValueError("twisting form must be homogeneous of degree 2")
-    scaled = omega.scale(Scalar.pi(-1, Fraction(1, 2)))
-    total = DifferentialForm.zero(manifold)
-    power = DifferentialForm.constant(manifold, 1)
-    for k in range(manifold.dim // 2 + 1):
-        total = total + power.scale(Scalar.rational(Fraction(1, factorial(k))))
-        power = power.wedge(scaled)
-    return CohomologyClass(manifold, (total,))
+    coeffs = [Fraction(1, factorial(k)) for k in range(omega.manifold.dim // 2 + 1)]
+    return _power_series(omega.scale(Scalar.pi(-1, Fraction(1, 2))), coeffs)

@@ -8,15 +8,20 @@ form, and because pi is transcendental, two such sums are equal as complex
 numbers iff their forms are structurally equal: all equality tests
 (including membership in ``2*pi*Z``, which decides phase identities) are
 exact.  :class:`Scalar` is the real subset (every ``b_m`` is 0),
-:class:`CScalar` the whole ring; one kernel (``_add``, ``_mul``,
-``_reduce``) computes both, and ``CScalar.coerce`` of a Scalar shares its
-dict.
+:class:`CScalar` the whole ring; one kernel computes both, and
+``CScalar.coerce`` of a Scalar shares its dict.
+
+This module alone does arithmetic on that format.  Its kernel: ``_new``
+and ``_reduce`` build canonical values; ``_add_into``, ``_scaled`` and
+``_mul_into`` work on bare numerator dicts; ``_add`` and ``_mul`` are the
+ring operators and ``_lincomb`` a weighted sum under one lcm.  ``chartfn``,
+``cech`` and ``star`` call it to sum many terms before one ``_reduce``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Union
 import math
 import re
@@ -66,24 +71,53 @@ def _add(x, y):
         s1, s2 = d2 // g, d1 // g
         out = {m: (a * s1, b * s1) for m, (a, b) in x._num.items()}
         d1 *= s1
-    for m, (c, d) in y._num.items():
-        p = out.get(m)
-        out[m] = (c * s2, d * s2) if p is None else (p[0] + c * s2, p[1] + d * s2)
+    _add_into(out, y._num, s2)
     return _reduce(type(x), d1, out)
 
 
-def _mul(x, y):
-    out: dict[int, tuple[int, int]] = {}
-    for m1, (a, b) in x._num.items():
-        for m2, (c, d) in y._num.items():
+def _add_into(acc: dict, num: dict, scale: int = 1) -> None:
+    """Add ``num`` times ``scale`` to ``acc``, both {pi power: (re, im)}."""
+    for m, (a, b) in num.items():
+        p = acc.get(m)
+        acc[m] = (a * scale, b * scale) if p is None else (p[0] + a * scale, p[1] + b * scale)
+
+
+def _scaled(num: dict, scale: int) -> dict:
+    """{pi power: (re, im)} of integer numerators, times ``scale``."""
+    if scale == 1:
+        return num
+    return {m: (a * scale, b * scale) for m, (a, b) in num.items()}
+
+
+def _mul_into(acc: dict, x: dict, y: dict) -> None:
+    """Add x * y to ``acc``, all {pi power: (re, im)} of integer numerators."""
+    for m1, (a, b) in x.items():
+        for m2, (c, d) in y.items():
             m = m1 + m2
-            p = out.get(m)
             if b:  # a real a needs two products, not four
                 re_, im_ = a * c - b * d, a * d + b * c
             else:
                 re_, im_ = a * c, a * d
-            out[m] = (re_, im_) if p is None else (p[0] + re_, p[1] + im_)
+            p = acc.get(m)
+            acc[m] = (re_, im_) if p is None else (p[0] + re_, p[1] + im_)
+
+
+def _mul(x, y):
+    out: dict[int, tuple[int, int]] = {}
+    _mul_into(out, x._num, y._num)
     return _reduce(type(x), x._den * y._den, out)
+
+
+def _lincomb(parts) -> "CScalar":
+    """The sum of w * i**t * (num over den) over ``parts`` (den, num, w, t)
+    with integer w: one lcm, integer numerators, one ``_reduce``."""
+    den = lcm(*(part[0] for part in parts))
+    out: dict[int, tuple[int, int]] = {}
+    for d, num, w, t in parts:
+        for _ in range(t):  # times i
+            num = {m: (-b, a) for m, (a, b) in num.items()}
+        _add_into(out, num, w * (den // d))
+    return _reduce(CScalar, den, out)
 
 
 def _binary(kernel):

@@ -27,13 +27,14 @@ by 2*pi*i*k_i, so the operator has the closed form
 
     B_m(e_k, e_l) = (-4*pi^2 * k.Pi.l)^m / m! * e_{k+l}.
 
-A part on a pair of pure Fourier sums is added in that form
-(``_add_fourier``), at every m.  Every a_k b_l of the pair is formed once,
-as integer numerators over one denominator, and summed by k+l and by the
-integers that make up k.Pi.l; the numerators of w^m = (-4*pi^2 * k.Pi.l)^m
-are kept over pden^m, pden the lcm of the Pi entries' denominators.  B_m
-adds w^m times each sum to its output frequency, over the pair denominator
-times pden^m * m!; B_0 (w^0 = 1) is a * b from the same table.  Any
+Both paths read one pair table per (a, b), ``_Work.pair_products``: every
+a_t b_u, formed once as integer numerators over da * db, the lcms of a's
+and b's coefficient denominators.  A part on a pair of pure Fourier sums
+is added in closed form (``_add_fourier``), at every m: the table's
+entries are summed by k+l and by the integers that make up k.Pi.l, and the
+numerators of w^m = (-4*pi^2 * k.Pi.l)^m are kept over pden^m, pden the lcm
+of the Pi entries' denominators.  B_m adds w^m times each sum to its output
+frequency, over da * db * pden^m * m!; B_0 (w^0 = 1) is a * b.  Any
 monomial factor sends the pair through the general path (``_add_bidiff``),
 which works on terms rather than on derivative functions.  A term
 x^a * e_k of f has d^g (x^a * e_k) = sum_b w * (i*pi)^s * x^(a-b) * e_k with
@@ -42,15 +43,14 @@ s = |g - b|), so each operand's d^g is a *term map*: source term -> output
 term, w, s.  The map of g is derived from the map of g less one derivative,
 one axis at a time, so a term that dies at some order costs nothing above
 it.  B_m then sums, per output term, coeff * w_a * w_b * (i*pi)^(s_a+s_b) *
-a_t b_u over the multisets of m Pi entries, with every a_t b_u formed once
-as integer numerators.  Both paths give the same exact result, and both
-add into the same dict.
+a_t b_u over the multisets of m Pi entries.  Both paths give the same exact
+result, and both add into the same dict.
 
 Each ``multiply``, ``commutator``, ``bidiff`` or associativity sample keeps
 one work table (``_Work``), which the calls nested in it share: the term
-maps of every operand, the pair products of every (a, b), the multisets of
-Pi entries with their weights for each m, the Fourier pair table of each
-(a, b) and the powers of w for each k.Pi.l.  So a*b, b*c and the defect
+maps of every operand, the pair table of every (a, b) and its Fourier
+groups, the multisets of Pi entries with their weights for each m and the
+powers of w for each k.Pi.l.  So a*b, b*c and the defect
 of one sample build each of these once.  The table is passed in a context
 variable that is reset before the outermost call returns, so nothing
 outlives it.
@@ -67,41 +67,13 @@ from typing import Iterable
 
 from .chartfn import ChartFunction, _chartfn
 from .poisson import PoissonStructure
-from .scalar import CScalar, _mul, _new, _reduce
+from .scalar import CScalar, _add_into, _mul_into, _reduce, _scaled
 from .series import FormalSeries, _check_order
 
 StarInput = ChartFunction | FormalSeries
 
-_ONE = _new(CScalar, 1, {0: (1, 0)})
-
-
 def _bump(order: tuple[int, ...], i: int, by: int = 1) -> tuple[int, ...]:
     return order[:i] + (order[i] + by,) + order[i + 1 :]
-
-
-def _numerators(c: CScalar, scale: int) -> list:
-    """c's numerators times ``scale``, as [(pi power, re, im)]."""
-    return [(k, x * scale, y * scale) for k, (x, y) in c._num.items()]
-
-
-def _scaled(num: dict, scale: int) -> dict:
-    """{pi power: (re, im)} of integer numerators, times ``scale``."""
-    if scale == 1:
-        return num
-    return {k: (x * scale, y * scale) for k, (x, y) in num.items()}
-
-
-def _mul_into(acc: dict, x: dict, y: dict) -> None:
-    """Add x * y to ``acc``, all {pi power: (re, im)} of integer numerators."""
-    for k1, (a, b) in x.items():
-        for k2, (c, d) in y.items():
-            k = k1 + k2
-            if b:  # a real a needs two products, not four
-                re_, im_ = a * c - b * d, a * d + b * c
-            else:
-                re_, im_ = a * c, a * d
-            p = acc.get(k)
-            acc[k] = (re_, im_) if p is None else (p[0] + re_, p[1] + im_)
 
 
 def _derive_map(parent: list, i: int) -> list:
@@ -129,13 +101,11 @@ class _Work:
     built when an order first needs it.  Operands are keyed by ``id`` and
     held in ``operands``, so no id is reused while the table lives.
 
-    The general path reads the term map of each operand and derivative
-    order and the pair products a_t b_u of each (a, b), which every order m
-    reuses.  The Fourier path reads the pair table of each (a, b): every
-    a_k b_l as integer numerators over one denominator, summed by ns and
-    by the term key of e_{k+l}; and, for each ns, the numerators of
-    w^m = (-4*pi^2 * s)^m over pden^m, pden the lcm of the Pi entries'
-    denominators."""
+    Both paths read the pair products a_t b_u of each (a, b), which every
+    order m reuses: the general path with the term map of each operand and
+    derivative order, the Fourier path summed by ns and by the term key of
+    e_{k+l}, with the numerators of w^m = (-4*pi^2 * s)^m over pden^m for
+    each ns, pden the lcm of the Pi entries' denominators."""
 
     def __init__(self, product: "PureStarProduct"):
         self.product = product
@@ -148,8 +118,8 @@ class _Work:
         self.products: dict = {}  # (id(a), id(b)) -> (den, rows)
         zero = (0,) * product.space.dim
         # m -> ([(order on a, order on b, coeff, last entry, its run length)], lcm of coeff dens)
-        self.multisets: dict = {0: ([(zero, zero, _ONE, 0, 0)], 1)}
-        self.pairs: dict = {}  # (id(a), id(b)) -> (den, {ns: {(0, k+l): numerators}})
+        self.multisets: dict = {0: ([(zero, zero, _reduce(CScalar, 1, {0: (1, 0)}), 0, 0)], 1)}
+        self.groups: dict = {}  # (id(a), id(b)) -> (den, {ns: {(0, k+l): numerators}})
         self.powers: dict = {}  # ns -> [numerators of w^m over pden^m for m = 0, 1, ...]
 
     def term_map(self, f: ChartFunction, order: tuple[int, ...]) -> list:
@@ -168,15 +138,21 @@ class _Work:
         return got
 
     def pair_products(self, a: ChartFunction, b: ChartFunction) -> tuple:
-        """(den, rows): rows[t][u] is a_t b_u as [(pi power, re, im)] of
-        integer numerators over den, the lcm of the products' denominators."""
+        """(den, rows): rows[t][u] is a_t b_u as {pi power: (re, im)} of
+        integer numerators over den = da * db, da the lcm of a's coefficient
+        denominators and db that of b's, formed once and never reduced."""
         got = self.products.get((id(a), id(b)))
         if got is None:
             self.operands[id(a)], self.operands[id(b)] = a, b
-            rows = [[_mul(x, y) for y in b._terms.values()] for x in a._terms.values()]
-            den = lcm(*(p._den for row in rows for p in row))
-            rows = [[_numerators(p, den // p._den) for p in row] for row in rows]
-            got = self.products[(id(a), id(b))] = (den, rows)
+            da = lcm(*(c._den for c in a._terms.values()))
+            db = lcm(*(c._den for c in b._terms.values()))
+            ys = [_scaled(c._num, db // c._den) for c in b._terms.values()]
+            rows = [[{} for _ in ys] for _ in a._terms]
+            for row, c in zip(rows, a._terms.values()):
+                x = _scaled(c._num, da // c._den)
+                for acc, y in zip(row, ys):
+                    _mul_into(acc, x, y)
+            got = self.products[(id(a), id(b))] = (da * db, rows)
         return got
 
     def orders(self, m: int) -> tuple:
@@ -194,33 +170,31 @@ class _Work:
                     run_idx = run + 1 if idx == last else 1
                     c = coeff * p
                     if run_idx > 1:
-                        c = c * _new(CScalar, run_idx, {0: (1, 0)})
+                        c = c * _reduce(CScalar, run_idx, {0: (1, 0)})
                     rows.append((_bump(order_a, i), _bump(order_b, j), c, idx, run_idx))
             got = self.multisets[m] = (rows, lcm(*(c._den for _, _, c, _, _ in rows)))
         return got
 
     def fourier_groups(self, a: ChartFunction, b: ChartFunction) -> tuple:
-        """(den, groups): the pair table of two pure Fourier sums.  Every
-        a_k b_l is formed once, as integer numerators {pi power: (re, im)}
-        over den, the lcm of a's coefficient denominators times that of
-        b's, and summed into groups[ns][key], key the term key of e_{k+l}
-        and ns the tuple of k_i l_j - k_j l_i over the Pi^ij with i < j.
-        The groups with s = k.Pi.l = 0 are kept, since B_0 reads every
-        pair."""
-        got = self.pairs.get((id(a), id(b)))
+        """(den, groups) for two pure Fourier sums: every a_k b_l of
+        ``pair_products``, over its den, summed into groups[ns][key], key
+        the term key of e_{k+l} and ns the tuple of k_i l_j - k_j l_i over
+        the Pi^ij with i < j.  The groups with s = k.Pi.l = 0 are kept,
+        since B_0 reads every pair."""
+        got = self.groups.get((id(a), id(b)))
         if got is None:
-            self.operands[id(a)], self.operands[id(b)] = a, b
-            da = lcm(*(c._den for c in a._terms.values()))
-            db = lcm(*(c._den for c in b._terms.values()))
-            ys = [(l, _scaled(c._num, db // c._den)) for (_, l), c in b._terms.items()]
+            den, rows = self.pair_products(a, b)
             groups: dict = {}
-            for (zero, k), c in a._terms.items():  # a is pure Fourier: zero monomial
-                x = _scaled(c._num, da // c._den)
-                for l, y in ys:
+            for (zero, k), row in zip(a._terms, rows):  # a is pure Fourier: zero monomial
+                for (_, l), c in zip(b._terms, row):
                     ns = tuple([k[i] * l[j] - k[j] * l[i] for i, j, _ in self.upper])
                     group = groups.setdefault(ns, {})
-                    _mul_into(group.setdefault((zero, tuple(map(add, k, l))), {}), x, y)
-            got = self.pairs[(id(a), id(b))] = (da * db, groups)
+                    key = (zero, tuple(map(add, k, l)))
+                    if key in group:  # a new dict, so that the pair table stays as it is
+                        c = dict(c)
+                        _add_into(c, group[key])
+                    group[key] = c
+            got = self.groups[(id(a), id(b))] = (den, groups)
         return got
 
     def power(self, ns: tuple, m: int) -> dict:
@@ -322,7 +296,7 @@ class PureStarProduct:
 
     def _add_bidiff(self, work: _Work, out: dict, den: int, sign: int, m: int, a, b) -> None:
         """Add sign * B_m(a, b) to ``out``, integer numerators over ``den``,
-        a multiple of the pair products' denominator times the multisets'.
+        a multiple of the pair table's denominator times the multisets'.
 
         B_m sums coeff * (d^order_a a)(d^order_b b) over the multisets of m
         Pi entries.  Each term of that sum is the multiset's coeff times a
@@ -338,11 +312,11 @@ class PureStarProduct:
             map_b = work.term_map(b, order_b)
             if not map_b:
                 continue
-            cs = _numerators(c, scale * (den_c // c._den))
+            cs = _scaled(c._num, scale * (den_c // c._den))
             for t, (mon_a, freq_a), wa, sa in map_a:
                 row = rows[t]
                 cw = []  # coeff * wa * (i*pi)^sa
-                for k, x, y in cs:
+                for k, (x, y) in cs.items():
                     x, y = x * wa, y * wa
                     for _ in range(sa % 4):
                         x, y = -y, x
@@ -353,7 +327,7 @@ class PureStarProduct:
                     if acc is None:
                         acc = out[key] = {}
                     for k1, x1, y1 in cw:
-                        for k2, x2, y2 in row[u]:
+                        for k2, (x2, y2) in row[u].items():
                             x, y = (x1 * x2 - y1 * y2) * wb, (x1 * y2 + y1 * x2) * wb
                             if sb:  # times i^sb
                                 for _ in range(sb % 4):
@@ -367,8 +341,8 @@ class PureStarProduct:
         integer numerators over ``den``, a multiple of the pair table's
         denominator times pden^m * m!.
 
-        B_m adds, for each k+l, w^m/m! times the pair table's sum of a_k b_l
-        in each group ns (``_Work.fourier_groups``, shared by every order),
+        B_m adds, for each k+l, w^m/m! times the sum of the pair table's
+        a_k b_l in each group ns (``_Work.fourier_groups``, shared by every order),
         w = -4*pi^2*s.  At m = 0, w^0 = 1 for every group, so B_0 = a * b
         comes from the same table; at m >= 1 a group with s = 0 contributes
         nothing.
@@ -424,7 +398,7 @@ class PureStarProduct:
     def multiply(self, a: StarInput, b: StarInput, K: int | None = None) -> FormalSeries:
         """a * b with c_k = sum_{j+l+m=k} B_m(a_j, b_l) (``_star_sum`` on one
         pair).  The table of the call computes each coefficient's term maps,
-        the pair products and Fourier pair table of each (a_j, b_l) and the
+        the pair table and Fourier groups of each (a_j, b_l) and the
         Pi multisets of each order once for all orders, and is dropped when
         the call returns."""
         return self._star_sum([(a, b, 1)], K)

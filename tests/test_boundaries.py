@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from starbundle.berezin import BerezinMatrix, CP1Function, commutator_decay
 from starbundle.bundle import BundleError, LocalLineBundle, build_local_line_bundle
 from starbundle.cech import CechConnectionData, constant_two_form, solve_cech
 from starbundle.chartfn import ChartFunction, ChartSpace
@@ -540,6 +541,24 @@ CASES = [
         lambda: toeplitz_index(1 + Z),
         ValueError,
         "symbol (1)*1 + (1)*e(1x) vanishes on the circle: not elliptic",
+    ),
+    (
+        "cp1-float-exponent",
+        lambda: CP1Function({(1.5, 0, 2): 1}),
+        TypeError,
+        "term (1.5, 0, 2) needs int exponents",
+    ),
+    (
+        "commutator-decay-float-level",
+        lambda: commutator_decay(CP1Function.real_part(), CP1Function.imag_part(), [2.7, 4.2]),
+        TypeError,
+        "level k must be an int, not float",
+    ),
+    (
+        "berezin-matrix-float-level",
+        lambda: BerezinMatrix(CP1Function.one(), 2.5),
+        TypeError,
+        "level k must be an int, not float",
     ),
 ]
 

@@ -76,3 +76,44 @@ def test_only_berezin_imports_numpy():
 def test_detects_an_unused_import():
     tree = ast.parse("from math import comb, factorial\nx: 'Sequence' = comb(2, 1)\n")
     assert set(_imported(tree)) - _used(tree) == {"factorial"}
+
+
+KERNEL = {"_new", "_reduce", "_add_into", "_mul_into", "_scaled", "_lincomb"}
+
+
+def _kernel_breaches(trees: dict[str, ast.Module]) -> list[tuple[str, str, str]]:
+    """(module, name, "defines") for each numerator-arithmetic helper that a
+    module other than scalar.py defines, and (module, "_new", "imports") for
+    each module that imports the trusted constructor."""
+    out = []
+    for module, tree in sorted(trees.items()):
+        if module != "scalar.py":
+            defined = {
+                n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            out += [(module, name, "defines") for name in sorted(defined & KERNEL)]
+        if "_new" in _imported(tree):
+            out.append((module, "_new", "imports"))
+    return out
+
+
+def test_numerator_arithmetic_lives_in_scalar():
+    """scalar.py is the one module that knows the {pi power: (re, im)}
+    format: it defines the whole kernel, no other module defines any of it,
+    and none builds a value with ``_new``."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    assert KERNEL <= {n.name for n in ast.walk(trees["scalar.py"]) if isinstance(n, ast.FunctionDef)}
+    assert _kernel_breaches(trees) == []
+
+
+def test_detects_a_kernel_helper_outside_scalar():
+    trees = {
+        "scalar.py": ast.parse("def _new(cls, den, num):\n    pass\n"),
+        "star.py": ast.parse("from .scalar import _new\ndef _scaled(num, s):\n    return num\n"),
+        "cech.py": ast.parse("class W:\n    def _lincomb(self):\n        pass\n"),
+    }
+    assert _kernel_breaches(trees) == [
+        ("cech.py", "_lincomb", "defines"),
+        ("star.py", "_scaled", "defines"),
+        ("star.py", "_new", "imports"),
+    ]

@@ -4,11 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from starbundle.chartfn import ChartFunction
+from starbundle import star
+from starbundle.chartfn import ChartFunction, ChartSpace
 from starbundle.manifold import Torus
-from starbundle.scalar import CScalar, Scalar, _cs, parse_scalar
+from starbundle.poisson import PoissonStructure
+from starbundle.scalar import (
+    CScalar,
+    Scalar,
+    _add_into,
+    _cs,
+    _lincomb,
+    _mul_into,
+    _reduce,
+    _scaled,
+    parse_scalar,
+)
+from starbundle.star import PureStarProduct
 
-from conftest import random_scalar
+from conftest import random_cscalar, random_poly, random_scalar, random_trig
 
 
 def test_canonical_form_drops_zeros():
@@ -142,27 +155,39 @@ def test_equal_scalars_hash_alike():
         assert len({a, b}) == 1
 
 
+# the reference: every value is a dict {pi power: (re, im)} of Fractions
+# with no (0, 0) entry
+
+
+def ref_add(x, y):
+    out = dict(x)
+    for m, (a, b) in y.items():
+        c, d = out.get(m, (0, 0))
+        out[m] = (a + c, b + d)
+    return {m: p for m, p in out.items() if p != (0, 0)}
+
+
+def ref_mul(x, y):
+    out = {}
+    for m1, (a, b) in x.items():
+        for m2, (c, d) in y.items():
+            e, f = out.get(m1 + m2, (0, 0))
+            out[m1 + m2] = (e + a * c - b * d, f + a * d + b * c)
+    return {m: p for m, p in out.items() if p != (0, 0)}
+
+
+def ref_scale(x, a, b):
+    return ref_mul(x, {0: (Fraction(a), Fraction(b))})
+
+
+def ref_of(den, num):
+    """Integer numerators over den as the reference's dict."""
+    return {m: (Fraction(a, den), Fraction(b, den)) for m, (a, b) in num.items() if a or b}
+
+
 def test_matches_fraction_reference():
-    """The integer-numerator kernel against a dict of Fraction pairs: every
-    value is {pi power: (re, im)} with no (0, 0) entry."""
-
-    def ref_add(x, y):
-        out = dict(x)
-        for m, (a, b) in y.items():
-            c, d = out.get(m, (0, 0))
-            out[m] = (a + c, b + d)
-        return {m: p for m, p in out.items() if p != (0, 0)}
-
-    def ref_mul(x, y):
-        out = {}
-        for m1, (a, b) in x.items():
-            for m2, (c, d) in y.items():
-                e, f = out.get(m1 + m2, (0, 0))
-                out[m1 + m2] = (e + a * c - b * d, f + a * d + b * c)
-        return {m: p for m, p in out.items() if p != (0, 0)}
-
-    def ref_scale(x, a, b):
-        return ref_mul(x, {0: (Fraction(a), Fraction(b))})
+    """The integer-numerator kernel against the dict-of-Fraction-pairs
+    reference, through the public operators."""
 
     def ref_part(x, j):
         return {m: p[j] for m, p in x.items() if p[j]}
@@ -221,3 +246,78 @@ def test_matches_fraction_reference():
         check(mono.inverse(), inv)
         check(mono**-3, ref_mul(ref_mul(inv, inv), inv))
         check(p / mono, ref_mul(r, inv))
+
+
+def test_numerator_helpers_match_fraction_reference():
+    """``_add_into``, ``_scaled`` and ``_mul_into`` on bare integer
+    numerators, real and complex, zero entries included."""
+    rng = random.Random(2801)
+
+    def rand_num(real=False):
+        return {
+            m: (rng.randint(-30, 30), 0 if real else rng.randint(-30, 30))
+            for m in rng.sample(range(-3, 4), rng.randint(1, 4))
+        }
+
+    for _ in range(100):
+        x, y, acc = rand_num(rng.random() < 0.4), rand_num(rng.random() < 0.4), rand_num()
+        got = dict(acc)
+        _mul_into(got, x, y)
+        assert ref_of(1, got) == ref_add(ref_of(1, acc), ref_mul(ref_of(1, x), ref_of(1, y)))
+        scale = rng.choice([-7, -1, 0, 2, 12])
+        got = dict(acc)
+        _add_into(got, x, scale)
+        assert ref_of(1, got) == ref_add(ref_of(1, acc), ref_scale(ref_of(1, x), scale, 0))
+        assert ref_of(1, _scaled(x, scale)) == ref_scale(ref_of(1, x), scale, 0)
+        assert _scaled(x, 1) is x
+
+
+def test_lincomb_matches_fraction_reference():
+    """``_lincomb`` sums w * i**t * value over mixed denominators, any turn
+    and negative weights, into one canonical value; parts that cancel give
+    the canonical zero, {} over 1."""
+    rng = random.Random(2802)
+    turns = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # i**t
+
+    def parts_of(values):
+        return [(c._den, c._num, rng.randint(-6, 6), rng.randrange(4)) for c in values]
+
+    for _ in range(60):
+        values = [random_cscalar(rng) for _ in range(rng.randint(1, 5))]
+        values.append(CScalar(Scalar.pi(2, Fraction(rng.randint(-9, 9), rng.choice([7, 12, 35])))))
+        parts = parts_of(values)
+        want = {}
+        for den, num, w, t in parts:
+            want = ref_add(want, ref_scale(ref_of(den, num), w * turns[t][0], w * turns[t][1]))
+        got = _lincomb(parts)
+        assert ref_of(got._den, got._num) == want
+        re, im = ({m: p[j] for m, p in want.items() if p[j]} for j in (0, 1))
+        assert got == CScalar(Scalar(re), Scalar(im))
+        # the same parts negated, by weight or by two turns, cancel exactly
+        negated = [(den, num, -w, t) for den, num, w, t in parts]
+        turned = [(den, num, w, (t + 2) % 4) for den, num, w, t in parts]
+        for cancel in (negated, turned):
+            zero = _lincomb(parts + cancel)
+            assert zero.is_zero() and (zero._den, zero._num) == (1, {})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pair_products_are_the_public_products(seed):
+    """Every row entry of the star kernel's pair table, reduced over the
+    table's den, is the public product a_t * b_u, for trig, polynomial and
+    pi-scaled operands with mixed denominators."""
+    rng = random.Random(seed)
+    space = ChartSpace.torus(("x", "y"))
+    work = star._Work(PureStarProduct(PoissonStructure.standard(space, Scalar.pi())))
+    trig = random_trig(space, rng, real=False)
+    poly = random_poly(space, rng)
+    weight = CScalar(Fraction(2, 9), Scalar.pi(2, Fraction(1, 4)))
+    scaled = trig * Scalar.pi(-1, Fraction(5, 6)) + poly * weight
+    for a in (trig, poly, scaled):
+        for b in (trig, poly, scaled):
+            den, rows = work.pair_products(a, b)
+            assert work.pair_products(a, b)[1] is rows  # formed once per (a, b)
+            assert [len(row) for row in rows] == [len(b.terms)] * len(a.terms)
+            for row, x in zip(rows, a.terms.values()):
+                for num, y in zip(row, b.terms.values()):
+                    assert _reduce(CScalar, den, num) == x * y

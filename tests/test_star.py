@@ -316,6 +316,30 @@ def derivative_series(product, sa, sb, K):
     )
 
 
+def test_fourier_groups_sum_the_pair_table(rng, monkeypatch):
+    """The Fourier path forms no product of its own: each group of
+    ``fourier_groups`` is the sum of the ``pair_products`` entries whose
+    (ns, k+l) it names, over the same den."""
+    work = star._Work(PureStarProduct(PoissonStructure.standard(T4, Scalar.pi(1, Fraction(2, 3)))))
+    a, b = random_trig(T4, rng, n_terms=4), random_trig(T4, rng, n_terms=4)
+    den, rows = work.pair_products(a, b)
+    products = []
+    monkeypatch.setattr(star, "_mul_into", lambda *args: products.append(args))
+    group_den, groups = work.fourier_groups(a, b)
+    assert products == [] and group_den == den
+    want: dict = {}
+    for (_, k), row in zip(a.terms, rows):
+        for (_, l), num in zip(b.terms, row):
+            ns = tuple(k[i] * l[j] - k[j] * l[i] for i, j, _ in work.upper)
+            key = ((0,) * 4, tuple(map(sum, zip(k, l))))
+            total = want.setdefault(ns, {}).get(key, CScalar.zero())
+            want[ns][key] = total + _reduce(CScalar, den, num)
+    assert {
+        ns: {key: _reduce(CScalar, den, num) for key, num in group.items()}
+        for ns, group in groups.items()
+    } == want
+
+
 @pytest.mark.parametrize("K", [2, 6, 8])
 @pytest.mark.parametrize("space", [T2, T4], ids=["T2", "T4"])
 @pytest.mark.parametrize(
